@@ -22,7 +22,6 @@ def main() -> None:
         [("phi", -math.pi, math.pi, 25), ("m", -6.5, 6.5, 17)],
         grid=32,
         kgrid=24,
-        workers=4,
     )
     labels = diagram.labels()
 

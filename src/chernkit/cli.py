@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__, invariants, models, phasediag, quadring
-
-WORKERS_ENV = "CHERNKIT_WORKERS"
 
 
 class CliError(Exception):
@@ -222,22 +220,8 @@ def _cmd_chern(args) -> int:
 def _cmd_scan(args) -> int:
     model, params = _load_model_config(args.model_config)
     if params:
-        model = models.BlochModel(
-            name=model.name,
-            bands=model.bands,
-            lattice=model.lattice,
-            defaults=model.params_with_defaults(params),
-            zone=model.zone,
-            field=model.field,
-            h0=model.h0,
-            jac12=model.jac12,
-            matrix_fn=model.matrix_fn,
-            geometry=model.geometry,
-            periodicity=model.periodicity,
-            hopping_family=model.hopping_family,
-        )
+        model = dataclasses.replace(model, defaults=model.params_with_defaults(params))
     axes = [_parse_axis(a) for a in args.axis]
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "0")) or (os.cpu_count() or 1)
     try:
         diagram = phasediag.scan(
             model,
@@ -245,7 +229,6 @@ def _cmd_scan(args) -> int:
             degeneracy_threshold=args.threshold,
             band=args.band,
             grid=_parse_grid(args.grid),
-            workers=workers,
         )
     except models.ModelError as exc:
         raise CliError(str(exc)) from exc
@@ -390,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--threshold", type=float, default=1e-6)
     sc.add_argument("--band", type=int, default=0)
     sc.add_argument("--grid", default="40")
-    sc.add_argument("--workers", type=int, default=None)
     sc.add_argument("--out", default=None, help="CSV path (default stdout)")
     sc.set_defaults(func=_cmd_scan)
 

@@ -6,6 +6,17 @@ real coefficient vector in the Pauli basis (2 bands) or the Gell-Mann basis
 schema, and (for 2-band models) the analytic Jacobian of (h1, h2) used by the
 root finder.
 
+Each builtin is a tight-binding Hamiltonian H(k) = sum_R T_R e^{ik.R} held as
+a :class:`HoppingTable`: a function of the params that returns the vectors R
+and, per R, complex coefficients over the basis components and the identity.
+The table derives ``field``, ``h0`` and the exact ``jac12``, and gives
+``assemble`` every component in one pass.  Range families come from two
+rules: :func:`_dilate` (k -> (n1 kx, n2 ky): ``scale_model(..., "all")``, the
+``_n2`` builtins, ``spin_ssphere``, ``torus_wind``) and :func:`_hopping`
+(R -> N R on the (h1, h2) terms: ``haldane_n``, ``triangular_n``).  A new
+model is a terms function plus one ``_CATALOG`` entry; a hand-written
+:class:`BlochModel` with its own callbacks works as well.
+
 Honeycomb-family coefficient fields are written in the periodic gauge: the
 inter-sublattice amplitude carries a common phase exp(-i N k.a1) so the
 coefficient vector is exactly periodic under the reciprocal vectors.  This is
@@ -18,6 +29,8 @@ rather than wrapping indices.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -53,6 +66,12 @@ GELL_MANN[6][1, 2] = -1j
 GELL_MANN[6][2, 1] = 1j
 GELL_MANN[7][0, 0] = GELL_MANN[7][1, 1] = 1 / SQRT3
 GELL_MANN[7][2, 2] = -2 / SQRT3
+
+#: the Pauli or Gell-Mann matrices and then the identity, flattened, by band count
+_BASIS = {
+    2: np.concatenate([SIGMA, np.eye(2)[None]]).reshape(4, 4),
+    3: np.concatenate([GELL_MANN, np.eye(3)[None]]).reshape(9, 9),
+}
 
 
 class ModelError(ValueError):
@@ -145,6 +164,9 @@ def assemble(model: BlochModel, params: dict | None, k) -> np.ndarray:
     kx, ky = k[..., 0], k[..., 1]
     if model.matrix_fn is not None:
         return model.matrix_fn(p, kx, ky)
+    if isinstance(model.field, HoppingTable) and model.h0 is model.field.h0:
+        c = model.field._sum(p, kx, ky)  # every component from one evaluation of the phases
+        return (c @ _BASIS[model.bands]).reshape(c.shape[:-1] + (model.bands, model.bands))
     h = model.field(p, kx, ky)
     basis = SIGMA if model.bands == 2 else GELL_MANN
     H = np.einsum("...i,ijk->...jk", h, basis)
@@ -170,7 +192,55 @@ def gap(model: BlochModel, params: dict | None, k, band: int = 0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# honeycomb / triangular geometry
+# hopping tables
+# ---------------------------------------------------------------------------
+
+
+class HoppingTable:
+    """A Bloch Hamiltonian as a finite Fourier series H(k) = sum_R T_R e^{ik.R}.
+
+    ``terms(p)`` returns vectors R, shape (T, 2), and coefficients C, shape
+    (T, K): component c is Re sum_R C[R, c] e^{ik.R}, over the Pauli (K = 4) or
+    Gell-Mann (K = 9) components and then the identity.  The table is a model's
+    ``field``; it keeps the terms of the last params for the root finder.
+    """
+
+    def __init__(self, terms: Callable, h0: bool = False):
+        self.terms = terms
+        self.h0 = self._identity if h0 else None
+        self._last: tuple = (None, None)
+
+    def _sum(self, p, kx, ky, jac: bool = False) -> np.ndarray:
+        """All components at k, or d(h1, h2)/d(kx, ky) = Re sum_R i R C e^{ik.R} flattened."""
+        key = tuple(p.items())
+        last_key, compiled = self._last
+        if key != last_key:
+            R, C = self.terms(p)
+            R = np.asarray(R, dtype=float)
+            C = np.asarray(C, dtype=complex)
+            dC = (C[:, :2, None] * (1j * R[:, None, :])).reshape(len(R), 4)
+            compiled = (R[:, 0].copy(), R[:, 1].copy(), C, dC)
+            self._last = (key, compiled)
+        Rx, Ry, C, dC = compiled
+        kx = np.asarray(kx, dtype=float)[..., None]
+        ky = np.asarray(ky, dtype=float)[..., None]
+        ph = 1j * (kx * Rx + ky * Ry)
+        np.exp(ph, out=ph)
+        return (ph @ (dC if jac else C)).real
+
+    def __call__(self, p, kx, ky) -> np.ndarray:
+        return self._sum(p, kx, ky)[..., :-1]
+
+    def _identity(self, p, kx, ky) -> np.ndarray:
+        return self._sum(p, kx, ky)[..., -1]
+
+    def jac12(self, p, kx, ky) -> np.ndarray:
+        J = self._sum(p, kx, ky, jac=True)
+        return J.reshape(J.shape[:-1] + (2, 2))
+
+
+# ---------------------------------------------------------------------------
+# lattice geometry and base tables
 # ---------------------------------------------------------------------------
 
 HONEYCOMB_A = np.array([[0.0, 1.0], [SQRT3 / 2, -0.5], [-SQRT3 / 2, -0.5]])
@@ -195,452 +265,165 @@ TRIANGULAR_ZONE = BrillouinZone(
 KAGOME_A = np.array([[1.0, 0.0], [0.5, SQRT3 / 2], [-0.5, SQRT3 / 2]])
 KAGOME_ZONE = BrillouinZone(g1=(math.pi, -math.pi / SQRT3), g2=(0.0, 2 * math.pi / SQRT3))
 
-
-def _dots(vecs: np.ndarray, kx, ky):
-    """k . v_j for each row v_j; result shape (..., len(vecs))."""
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    return kx[..., None] * vecs[:, 0] + ky[..., None] * vecs[:, 1]
-
-
-def _honeycomb_field(p, kx, ky, *, N=1, t3=0.0, tN=None):
-    """Periodic-gauge honeycomb coefficient vector.
-
-    h1 + i h2 = e^{-iNk.a1} [ t1 sum_j e^{iNk.a_j} + t3 sum_j e^{iNk.c_j} ],
-    h3 = m - 2 t2 sin(phi) sum_j sin(k.b_j).  ``tN`` renames t1 -> t_N for the
-    hopping-only family (second-neighbor term stays at range 1).
-    """
-    t1 = p[tN] if tN else p["t1"]
-    rel_a = N * (HONEYCOMB_A - HONEYCOMB_A[0])
-    w = t1 * np.exp(1j * _dots(rel_a, kx, ky)).sum(axis=-1)
-    if t3:
-        rel_c = HONEYCOMB_C - HONEYCOMB_A[0]
-        w = w + p["t3"] * np.exp(1j * _dots(rel_c, kx, ky)).sum(axis=-1)
-    h3 = p["m"] - 2 * p["t2"] * math.sin(p["phi"]) * np.sin(
-        _dots(HONEYCOMB_B, kx, ky)
-    ).sum(axis=-1)
-    return np.stack([w.real, w.imag, h3], axis=-1)
+_HONEYCOMB_R = np.concatenate(
+    [HONEYCOMB_A - HONEYCOMB_A[0], HONEYCOMB_B, HONEYCOMB_C - HONEYCOMB_A[0]]
+)
+_TRIANGULAR_R = np.concatenate([TRI_W_SIGNS[:, None] * TRI_W, TRI_U, [[0.0, 0.0]]])
+_SQUARE_R = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def _honeycomb_jac(p, kx, ky, *, N=1, t3=0.0, tN=None):
-    t1 = p[tN] if tN else p["t1"]
-    rel_a = N * (HONEYCOMB_A - HONEYCOMB_A[0])
-    ph = t1 * np.exp(1j * _dots(rel_a, kx, ky))
-    dwx = (1j * rel_a[:, 0] * ph).sum(axis=-1)
-    dwy = (1j * rel_a[:, 1] * ph).sum(axis=-1)
-    if t3:
-        rel_c = HONEYCOMB_C - HONEYCOMB_A[0]
-        ph3 = p["t3"] * np.exp(1j * _dots(rel_c, kx, ky))
-        dwx = dwx + (1j * rel_c[:, 0] * ph3).sum(axis=-1)
-        dwy = dwy + (1j * rel_c[:, 1] * ph3).sum(axis=-1)
-    return np.stack(
-        [
-            np.stack([dwx.real, dwy.real], axis=-1),
-            np.stack([dwx.imag, dwy.imag], axis=-1),
-        ],
-        axis=-2,
-    )
+def _honeycomb(p):
+    """h1 + i h2 = t1 sum_j e^{ik.(a_j - a_1)} [+ t3 sum_j e^{ik.(c_j - a_1)}],
+    h3 = m - 2 t2 sin(phi) sum_j sin(k.b_j), h0 = 2 t2 cos(phi) sum_j cos(k.b_j)."""
+    t, s = p["t1"], 2 * p["t2"]
+    b = [0, 0, 1j * s * math.sin(p["phi"]), s * math.cos(p["phi"])]
+    rows = [[t, -1j * t, p["m"], 0], [t, -1j * t, 0, 0], [t, -1j * t, 0, 0], b, b, b]
+    if "t3" in p:
+        rows += [[p["t3"], -1j * p["t3"], 0, 0]] * 3
+    return _HONEYCOMB_R[: len(rows)], rows
 
 
-def _honeycomb_h0(p, kx, ky, *, N=1):
-    return 2 * p["t2"] * math.cos(p["phi"]) * np.cos(
-        _dots(N * HONEYCOMB_B, kx, ky)
-    ).sum(axis=-1)
+def _triangular(p):
+    """h1 + i h2 = -t1 sum_j e^{ik.s_j w_j}; with the signs s'_j of the u_j,
+    h3 = m - 2 t2 sin(phi) sum_j s'_j sin(k.u_j), h0 = 2 t2 cos(phi) sum s'_j cos(k.u_j)."""
+    t, s = p["t1"], 2 * p["t2"]
+    sin, cos = 1j * s * math.sin(p["phi"]), s * math.cos(p["phi"])
+    u = [[0, 0, sg * sin, sg * cos] for sg in TRI_U_SIGNS]
+    return _TRIANGULAR_R, [[-t, 1j * t, 0, 0]] * 3 + u + [[0, 0, p["m"], 0]]
 
 
-def _triangular_field(p, kx, ky, *, Na=1, Nb=1):
-    w = -p["t1"] * np.exp(1j * _dots(Na * (TRI_W_SIGNS[:, None] * TRI_W), kx, ky)).sum(axis=-1)
-    h3 = p["m"] - 2 * p["t2"] * math.sin(p["phi"]) * (
-        TRI_U_SIGNS * np.sin(_dots(Nb * TRI_U, kx, ky))
-    ).sum(axis=-1)
-    return np.stack([w.real, w.imag, h3], axis=-1)
+def _kagome(p):
+    """Gell-Mann pairs (1, 2), (4, 5), (6, 7): -2 (t1, u1) cos(k.a_j), u1 negated on (4, 5)."""
+    t, u = -2 * p["t1"], -2 * p["u1"]
+    rows = [[t, u, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, t, -u, 0, 0, 0, 0]]
+    return KAGOME_A, rows + [[0, 0, 0, 0, 0, t, u, 0, 0]]
 
 
-def _triangular_jac(p, kx, ky, *, Na=1):
-    vecs = Na * (TRI_W_SIGNS[:, None] * TRI_W)
-    ph = -p["t1"] * np.exp(1j * _dots(vecs, kx, ky))
-    dwx = (1j * vecs[:, 0] * ph).sum(axis=-1)
-    dwy = (1j * vecs[:, 1] * ph).sum(axis=-1)
-    return np.stack(
-        [
-            np.stack([dwx.real, dwy.real], axis=-1),
-            np.stack([dwx.imag, dwy.imag], axis=-1),
-        ],
-        axis=-2,
-    )
+def _bhz(p):
+    """h = (t1 sin kx, t1 sin ky, m - t1 cos kx - t1 cos ky)."""
+    t = p["t1"]
+    return _SQUARE_R, [[0, 0, p["m"], 0], [-1j * t, 0, -t, 0], [0, -1j * t, -t, 0]]
 
 
-def _triangular_h0(p, kx, ky, *, Nb=1):
-    return 2 * p["t2"] * math.cos(p["phi"]) * (
-        TRI_U_SIGNS * np.cos(_dots(Nb * TRI_U, kx, ky))
-    ).sum(axis=-1)
+def _mb_dirac(p):
+    """h = (sin kx, sin ky, M - B sin^2(kx/2) - B sin^2(ky/2))."""
+    b = p["B"] / 2
+    return _SQUARE_R, [[0, 0, p["M"] - p["B"], 0], [-1j, 0, b, 0], [0, -1j, b, 0]]
 
 
-def _kagome_field(p, kx, ky, *, N=1):
-    c = np.cos(_dots(N * KAGOME_A, kx, ky))
-    t1, u1 = p["t1"], p["u1"]
-    z = np.zeros_like(c[..., 0])
-    return np.stack(
-        [
-            -2 * t1 * c[..., 0],
-            -2 * u1 * c[..., 0],
-            z,
-            -2 * t1 * c[..., 1],
-            2 * u1 * c[..., 1],
-            -2 * t1 * c[..., 2],
-            -2 * u1 * c[..., 2],
-            z,
-        ],
-        axis=-1,
-    )
+def _collapse(p):
+    """The fixed smooth degree-one map -(sin kx, sin ky, cos kx + cos ky - 1)."""
+    return _SQUARE_R, [[0, 0, 1, 0], [1j, 0, -1, 0], [0, 1j, -1, 0]]
 
 
-def _base_collapse(kx, ky):
-    """Fixed smooth degree-one map T^2 -> S^2 (up to normalization)."""
-    return np.stack([np.sin(kx), np.sin(ky), np.cos(kx) + np.cos(ky) - 1.0], axis=-1)
+def _square_power(p):
+    """h1 + i h2 = (alpha cos kx + i beta cos ky)^d for integer d >= 0, expanded with
+    cos^n x = 2^-n sum_l C(n, l) e^{i(n - 2l)x}; h3 = m0 + gamma1 sin kx + gamma2 sin ky."""
+    d = int(p["d"])
+    if d < 0:
+        raise ModelError(f"square_power needs an integer power d >= 0, got {p['d']}")
+    R = [_SQUARE_R]
+    rows = [[0, 0, p["m0"], 0], [0, 0, -1j * p["gamma1"], 0], [0, 0, -1j * p["gamma2"], 0]]
+    for j in range(d + 1):
+        c = math.comb(d, j) * p["alpha"] ** (d - j) * (1j * p["beta"]) ** j / 2**d
+        for l, m in itertools.product(range(d - j + 1), range(j + 1)):
+            w = c * math.comb(d - j, l) * math.comb(j, m)
+            R.append([[d - j - 2 * l, j - 2 * m]])
+            rows.append([w, -1j * w, 0, 0])
+    return np.concatenate(R), rows
 
 
 # ---------------------------------------------------------------------------
-# catalog
+# range rules and catalog
 # ---------------------------------------------------------------------------
 
 
-def _make_haldane():
-    return BlochModel(
-        name="haldane",
-        bands=2,
-        lattice="honeycomb",
-        defaults={"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "m": 0.0},
-        zone=HONEYCOMB_ZONE,
-        field=lambda p, kx, ky: _honeycomb_field(p, kx, ky),
-        h0=lambda p, kx, ky: _honeycomb_h0(p, kx, ky),
-        jac12=lambda p, kx, ky: _honeycomb_jac(p, kx, ky),
-        geometry={"a": HONEYCOMB_A, "b": HONEYCOMB_B, "K": K_POINT},
-        hopping_family="haldane_n",
-    )
+def _dilate(model: BlochModel, ns: tuple, **changes) -> BlochModel:
+    """The model at k -> (n1 kx, n2 ky): every term's range is stretched and the
+    Jacobian columns scale by n1 and n2.  Each of ``ns`` is an integer or the
+    name of an integer parameter."""
+
+    def at(fn, columns=False):
+        def stretched(p, kx, ky):
+            n = [int(p[x]) if isinstance(x, str) else x for x in ns]
+            out = fn(p, n[0] * kx, n[1] * ky)
+            return out * n if columns else out
+
+        return None if fn is None else stretched
+
+    stretch = {f: at(getattr(model, f)) for f in ("field", "h0", "matrix_fn")}
+    return dataclasses.replace(model, jac12=at(model.jac12, True), **stretch, **changes)
 
 
-def _make_haldane3nn():
-    return BlochModel(
-        name="haldane3nn",
-        bands=2,
-        lattice="honeycomb",
-        defaults={"t1": 1.0, "t2": 0.5, "t3": 0.35, "phi": math.pi / 2, "m": 0.0},
-        zone=HONEYCOMB_ZONE,
-        field=lambda p, kx, ky: _honeycomb_field(p, kx, ky, t3=True),
-        h0=lambda p, kx, ky: _honeycomb_h0(p, kx, ky),
-        jac12=lambda p, kx, ky: _honeycomb_jac(p, kx, ky, t3=True),
-        geometry={"a": HONEYCOMB_A, "b": HONEYCOMB_B, "c": HONEYCOMB_C},
-    )
+def _hopping(terms: Callable) -> Callable:
+    """R -> N R, N = p["N"], on the terms with an (h1, h2) part: the hopping-only family."""
+
+    def scaled(p):
+        R, rows = terms(p)
+        C = np.asarray(rows, dtype=complex)
+        return np.where(C[:, :2].any(axis=1)[:, None], int(p["N"]) * R, R), C
+
+    return scaled
 
 
-def _make_haldane_n2():
-    # every term evaluated at N k, so this is definitionally scale_model(haldane, N)
-    def f(p, kx, ky):
-        N = int(p["N"])
-        return _honeycomb_field(p, N * kx, N * ky)
-
-    def jac(p, kx, ky):
-        N = int(p["N"])
-        return N * _honeycomb_jac(p, N * kx, N * ky)
-
-    return BlochModel(
-        name="haldane_n2",
-        bands=2,
-        lattice="honeycomb",
-        defaults={"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "m": 0.0, "N": 2},
-        zone=HONEYCOMB_ZONE,
-        field=f,
-        h0=lambda p, kx, ky: _honeycomb_h0(p, int(p["N"]) * kx, int(p["N"]) * ky),
-        jac12=jac,
-        geometry={"a": HONEYCOMB_A, "b": HONEYCOMB_B},
-    )
+_ZONES = {"honeycomb": HONEYCOMB_ZONE, "triangular": TRIANGULAR_ZONE, "kagome": KAGOME_ZONE}
+_HALDANE = {"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "m": 0.0}
+_HALDANE3NN = {"t1": 1.0, "t2": 0.5, "t3": 0.35, "phi": math.pi / 2, "m": 0.0}
+_HALDANE_N = {**_HALDANE, "N": 2}
+_BHZ = {"t1": 1.0, "m": -1.0}
+_KAGOME = {"t1": 1.0, "u1": 1.0}
+_POWER = {"alpha": 1.0, "beta": 1.0, "gamma1": 0.5, "gamma2": 0.25, "m0": 0.0, "d": 1}
 
 
-def _make_haldane_n():
-    def f(p, kx, ky):
-        return _honeycomb_field(p, kx, ky, N=int(p["N"]), tN="t1")
-
-    def jac(p, kx, ky):
-        return _honeycomb_jac(p, kx, ky, N=int(p["N"]), tN="t1")
-
-    return BlochModel(
-        name="haldane_n",
-        bands=2,
-        lattice="honeycomb",
-        defaults={"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "m": 0.0, "N": 2},
-        zone=HONEYCOMB_ZONE,
-        field=f,
-        h0=lambda p, kx, ky: _honeycomb_h0(p, kx, ky),
-        jac12=jac,
-        geometry={"a": HONEYCOMB_A, "b": HONEYCOMB_B},
-    )
+def _model(name, terms, lattice, defaults, bands=2, h0=False, **fields) -> BlochModel:
+    table = HoppingTable(terms, h0)
+    jac12 = table.jac12 if bands == 2 else None
+    zone = _ZONES.get(lattice, SQUARE_ZONE)
+    return BlochModel(name, bands, lattice, dict(defaults), zone, table, table.h0, jac12, **fields)
 
 
-def _make_bhz():
-    def f(p, kx, ky):
-        t1 = p["t1"]
-        return np.stack(
-            [
-                t1 * np.sin(kx),
-                t1 * np.sin(ky),
-                p["m"] - t1 * np.cos(kx) - t1 * np.cos(ky),
-            ],
-            axis=-1,
-        )
-
-    def jac(p, kx, ky):
-        t1 = p["t1"]
-        z = np.zeros(np.broadcast(kx, ky).shape)
-        return np.stack(
-            [
-                np.stack([t1 * np.cos(kx), z], axis=-1),
-                np.stack([z, t1 * np.cos(ky)], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    return BlochModel(
-        name="bhz_square",
-        bands=2,
-        lattice="square",
-        defaults={"t1": 1.0, "m": -1.0},
-        zone=SQUARE_ZONE,
-        field=f,
-        jac12=jac,
-        geometry={"a": np.array([[1.0, 0.0]]), "b": np.array([[0.0, 1.0]])},
-    )
+def _haldane(name, defaults=_HALDANE_N, extra=None, terms=_honeycomb, **fields):
+    geometry = {"a": HONEYCOMB_A, "b": HONEYCOMB_B, **(extra or {})}
+    return _model(name, terms, "honeycomb", defaults, h0=True, geometry=geometry, **fields)
 
 
-def _make_square_n2():
-    def f(p, kx, ky):
-        N, t1 = int(p["N"]), p["t1"]
-        return np.stack(
-            [
-                t1 * np.sin(N * kx),
-                t1 * np.sin(N * ky),
-                p["m"] - t1 * np.cos(N * kx) - t1 * np.cos(N * ky),
-            ],
-            axis=-1,
-        )
-
-    def jac(p, kx, ky):
-        N, t1 = int(p["N"]), p["t1"]
-        z = np.zeros(np.broadcast(kx, ky).shape)
-        return np.stack(
-            [
-                np.stack([N * t1 * np.cos(N * kx), z], axis=-1),
-                np.stack([z, N * t1 * np.cos(N * ky)], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    return BlochModel(
-        name="square_n2",
-        bands=2,
-        lattice="square",
-        defaults={"t1": 1.0, "m": -1.0, "N": 2},
-        zone=SQUARE_ZONE,
-        field=f,
-        jac12=jac,
-    )
+def _triangular_model(name, terms=_triangular, defaults=_HALDANE_N, **fields):
+    return _model(name, terms, "triangular", defaults, h0=True, **fields)
 
 
-def _make_square_power():
-    def f(p, kx, ky):
-        w = (p["alpha"] * np.cos(kx) + 1j * p["beta"] * np.cos(ky)) ** int(p["d"])
-        h3 = p["m0"] + p["gamma1"] * np.sin(kx) + p["gamma2"] * np.sin(ky)
-        return np.stack([w.real, w.imag, h3], axis=-1)
-
-    def jac(p, kx, ky):
-        d = int(p["d"])
-        base = p["alpha"] * np.cos(kx) + 1j * p["beta"] * np.cos(ky)
-        dwx = d * base ** (d - 1) * (-p["alpha"] * np.sin(kx))
-        dwy = d * base ** (d - 1) * (-1j * p["beta"] * np.sin(ky))
-        return np.stack(
-            [
-                np.stack([dwx.real, dwy.real], axis=-1),
-                np.stack([dwx.imag, dwy.imag], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    return BlochModel(
-        name="square_power",
-        bands=2,
-        lattice="square",
-        defaults={"alpha": 1.0, "beta": 1.0, "gamma1": 0.5, "gamma2": 0.25, "m0": 0.0, "d": 1},
-        zone=SQUARE_ZONE,
-        field=f,
-        jac12=jac,
-    )
-
-
-def _make_triangular():
-    return BlochModel(
-        name="triangular",
-        bands=2,
-        lattice="triangular",
-        defaults={"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "m": 0.0},
-        zone=TRIANGULAR_ZONE,
-        field=lambda p, kx, ky: _triangular_field(p, kx, ky),
-        h0=lambda p, kx, ky: _triangular_h0(p, kx, ky),
-        jac12=lambda p, kx, ky: _triangular_jac(p, kx, ky),
-        geometry={"w": TRI_W, "u": TRI_U, "w_signs": TRI_W_SIGNS, "u_signs": TRI_U_SIGNS},
-        hopping_family="triangular_n",
-    )
-
-
-def _make_triangular_n2():
-    def f(p, kx, ky):
-        N = int(p["N"])
-        return _triangular_field(p, kx, ky, Na=N, Nb=N)
-
-    return BlochModel(
-        name="triangular_n2",
-        bands=2,
-        lattice="triangular",
-        defaults={"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "m": 0.0, "N": 2},
-        zone=TRIANGULAR_ZONE,
-        field=f,
-        h0=lambda p, kx, ky: _triangular_h0(p, kx, ky, Nb=int(p["N"])),
-        jac12=lambda p, kx, ky: _triangular_jac(p, kx, ky, Na=int(p["N"])),
-    )
-
-
-def _make_triangular_n():
-    def f(p, kx, ky):
-        return _triangular_field(p, kx, ky, Na=int(p["N"]), Nb=1)
-
-    return BlochModel(
-        name="triangular_n",
-        bands=2,
-        lattice="triangular",
-        defaults={"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "m": 0.0, "N": 2},
-        zone=TRIANGULAR_ZONE,
-        field=f,
-        h0=lambda p, kx, ky: _triangular_h0(p, kx, ky),
-        jac12=lambda p, kx, ky: _triangular_jac(p, kx, ky, Na=int(p["N"])),
-    )
-
-
-def _kagome_gauge_matrices():
-    return (np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]))
-
-
-def _make_kagome(name="kagome", scaled=False):
-    def f(p, kx, ky):
-        return _kagome_field(p, kx, ky, N=int(p["N"]) if scaled else 1)
-
-    defaults = {"t1": 1.0, "u1": 1.0}
-    if scaled:
-        defaults["N"] = 3
-    return BlochModel(
-        name=name,
-        bands=3,
-        lattice="kagome",
-        defaults=defaults,
-        zone=KAGOME_ZONE,
-        field=f,
-        geometry={"a": KAGOME_A, "gauge_matrices": _kagome_gauge_matrices()},
-        periodicity="conjugate",
-    )
-
-
-def _make_mb_dirac():
-    def f(p, kx, ky):
-        h3 = p["M"] - p["B"] * (np.sin(kx / 2) ** 2 + np.sin(ky / 2) ** 2)
-        return np.stack([np.sin(kx), np.sin(ky), h3], axis=-1)
-
-    def jac(p, kx, ky):
-        z = np.zeros(np.broadcast(kx, ky).shape)
-        return np.stack(
-            [
-                np.stack([np.cos(kx), z], axis=-1),
-                np.stack([z, np.cos(ky)], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    return BlochModel(
-        name="mb_dirac",
-        bands=2,
-        lattice="square",
-        defaults={"M": 1.0, "B": 1.0},
-        zone=SQUARE_ZONE,
-        field=f,
-        jac12=jac,
-    )
-
-
-def _make_spin_ssphere():
-    def f(p, kx, ky):
-        return -_base_collapse(int(p["d"]) * kx, ky)
-
-    def jac(p, kx, ky):
-        d = int(p["d"])
-        z = np.zeros(np.broadcast(kx, ky).shape)
-        return np.stack(
-            [
-                np.stack([-d * np.cos(d * kx), z], axis=-1),
-                np.stack([z, -np.cos(ky)], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    return BlochModel(
-        name="spin_ssphere",
-        bands=2,
-        lattice="square",
-        defaults={"d": 1},
-        zone=SQUARE_ZONE,
-        field=f,
-        jac12=jac,
-    )
-
-
-def _make_torus_wind():
-    def f(p, kx, ky):
-        return -_base_collapse(int(p["d1"]) * kx, int(p["d2"]) * ky)
-
-    def jac(p, kx, ky):
-        d1, d2 = int(p["d1"]), int(p["d2"])
-        z = np.zeros(np.broadcast(kx, ky).shape)
-        return np.stack(
-            [
-                np.stack([-d1 * np.cos(d1 * kx), z], axis=-1),
-                np.stack([z, -d2 * np.cos(d2 * ky)], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    return BlochModel(
-        name="torus_wind",
-        bands=2,
-        lattice="square",
-        defaults={"d1": 2, "d2": 3},
-        zone=SQUARE_ZONE,
-        field=f,
-        jac12=jac,
-    )
+def _kagome_model(name, defaults):
+    gauge = (np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]))
+    geometry = {"a": KAGOME_A, "gauge_matrices": gauge}
+    return _model(name, _kagome, "kagome", defaults, 3, geometry=geometry, periodicity="conjugate")
 
 
 _CATALOG: dict[str, Callable[[], BlochModel]] = {
-    "haldane": _make_haldane,
-    "haldane3nn": _make_haldane3nn,
-    "haldane_n2": _make_haldane_n2,
-    "haldane_n": _make_haldane_n,
-    "bhz_square": _make_bhz,
-    "square_n2": _make_square_n2,
-    "square_power": _make_square_power,
-    "triangular": _make_triangular,
-    "triangular_n2": _make_triangular_n2,
-    "triangular_n": _make_triangular_n,
-    "kagome": lambda: _make_kagome(),
-    "kagome_n2": lambda: _make_kagome("kagome_n2", scaled=True),
-    "mb_dirac": _make_mb_dirac,
-    "spin_ssphere": _make_spin_ssphere,
-    "torus_wind": _make_torus_wind,
+    "haldane": lambda: _haldane("haldane", _HALDANE, {"K": K_POINT}, hopping_family="haldane_n"),
+    "haldane3nn": lambda: _haldane("haldane3nn", _HALDANE3NN, extra={"c": HONEYCOMB_C}),
+    "haldane_n2": lambda: _dilate(_haldane("haldane_n2"), ("N", "N")),
+    "haldane_n": lambda: _haldane("haldane_n", terms=_hopping(_honeycomb)),
+    "bhz_square": lambda: _model(
+        "bhz_square", _bhz, "square", _BHZ, geometry={"a": np.eye(2)[:1], "b": np.eye(2)[1:]}
+    ),
+    "square_n2": lambda: _dilate(_model("square_n2", _bhz, "square", {**_BHZ, "N": 2}), ("N", "N")),
+    "square_power": lambda: _model("square_power", _square_power, "square", _POWER),
+    "triangular": lambda: _triangular_model(
+        "triangular",
+        defaults=_HALDANE,
+        geometry={"w": TRI_W, "u": TRI_U, "w_signs": TRI_W_SIGNS, "u_signs": TRI_U_SIGNS},
+        hopping_family="triangular_n",
+    ),
+    "triangular_n2": lambda: _dilate(_triangular_model("triangular_n2"), ("N", "N")),
+    "triangular_n": lambda: _triangular_model("triangular_n", _hopping(_triangular)),
+    "kagome": lambda: _kagome_model("kagome", _KAGOME),
+    "kagome_n2": lambda: _dilate(_kagome_model("kagome_n2", {**_KAGOME, "N": 3}), ("N", "N")),
+    "mb_dirac": lambda: _model("mb_dirac", _mb_dirac, "square", {"M": 1.0, "B": 1.0}),
+    "spin_ssphere": lambda: _dilate(
+        _model("spin_ssphere", _collapse, "square", {"d": 1}), ("d", 1)
+    ),
+    "torus_wind": lambda: _dilate(
+        _model("torus_wind", _collapse, "square", {"d1": 2, "d2": 3}), ("d1", "d2")
+    ),
 }
 
 
@@ -693,23 +476,8 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
                 "prime divides it (or the sublattice species do not match), so the "
                 "range-N shell does not replicate the nearest-neighbor structure"
             )
-        base_field = model.field
-        base_h0 = model.h0
-        base_jac = model.jac12
-        base_matrix = model.matrix_fn
-        return BlochModel(
-            name=f"{model.name}_scaled{N}",
-            bands=model.bands,
-            lattice=model.lattice,
-            defaults=model.defaults,
-            zone=model.zone,
-            field=None if base_field is None else (lambda p, kx, ky: base_field(p, N * kx, N * ky)),
-            h0=None if base_h0 is None else (lambda p, kx, ky: base_h0(p, N * kx, N * ky)),
-            jac12=None if base_jac is None else (lambda p, kx, ky: N * base_jac(p, N * kx, N * ky)),
-            matrix_fn=None if base_matrix is None else (lambda p, kx, ky: base_matrix(p, N * kx, N * ky)),
-            geometry=model.geometry,
-            periodicity=model.periodicity,
-        )
+        name = f"{model.name}_scaled{N}"
+        return _dilate(model, (N, N), name=name, hopping_family=None)
     if which == "hopping_only":
         if model.hopping_family is None:
             raise ModelError(f"model {model.name} has no hopping-only range family")
@@ -720,23 +488,9 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
                 f"{model.lattice} lattice (split-prime or sublattice-species rule)"
             )
         fam = builtin_model(model.hopping_family)
-        defaults = dict(fam.defaults)
-        for key in model.defaults:
-            if key in defaults:
-                defaults[key] = model.defaults[key]
-        defaults["N"] = N
-        return BlochModel(
-            name=f"{model.name}_hop{N}",
-            bands=fam.bands,
-            lattice=fam.lattice,
-            defaults=defaults,
-            zone=fam.zone,
-            field=fam.field,
-            h0=fam.h0,
-            jac12=fam.jac12,
-            geometry=fam.geometry,
-            periodicity=fam.periodicity,
-        )
+        shared = {k: v for k, v in model.defaults.items() if k in fam.defaults}
+        defaults = {**fam.defaults, **shared, "N": N}
+        return dataclasses.replace(fam, name=f"{model.name}_hop{N}", defaults=defaults)
     raise ModelError(f"which must be 'all' or 'hopping_only', got {which!r}")
 
 

@@ -12,7 +12,6 @@ exactly on the fan's rays.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -126,7 +125,8 @@ def scan(
 
     ``axes`` is a list of one or two ``(name, lo, hi, n)`` tuples.  Cells
     whose refined minimum gap falls below the threshold are DEGENERATE;
-    engine failures are recorded per cell without aborting the scan.
+    engine failures are recorded per cell without aborting the scan.  Cells
+    run serially; ``workers`` is accepted for compatibility and ignored.
     """
     axes = [tuple(a) for a in axes]
     if not 1 <= len(axes) <= 2:
@@ -152,11 +152,7 @@ def scan(
                 index, params, None, float("nan"), (float("nan"),) * 2, error=str(exc)
             )
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, indices))
-    else:
-        cells = [run_cell(ix) for ix in indices]
+    cells = [run_cell(ix) for ix in indices]
 
     by_index = {c.index: c for c in cells}
     boundary = []

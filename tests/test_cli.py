@@ -263,6 +263,15 @@ def test_scan_stdout_csv_summary_on_stderr(capsys):
     assert "boundaries" in json.loads(err)
 
 
+def test_scan_config_params_become_defaults(capsys):
+    # t2 = 0.25 moves the boundary |m| = 3 sqrt(3) t2 from 2.60 to 1.30
+    cfg = json.dumps({"model": "haldane", "params": {"t2": 0.25}})
+    code, out, _ = _run(capsys, "scan", "--model-config", cfg, "--axis", "m:0:4:5", "--grid", "32")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [r["chern"] for r in rows] == ["1", "1", "0", "0", "0"]
+
+
 def test_scan_bad_axis_exits_2(capsys):
     code, _, err = _run(
         capsys, "scan", "--model-config", HALDANE, "--axis", "m:0:1"

@@ -1,6 +1,8 @@
 """Tests for the Bloch model zoo, scaling transforms, and band folding."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,10 @@ SQRT3 = math.sqrt(3.0)
 RNG = np.random.default_rng(20240817)
 
 ALL_MODELS = catalog()
+#: field/h0/jac12/assemble of every catalog model at its defaults, one jittered
+#: parameter point and some integer parameters, at 6 random k in [-6, 6]^2
+with open(Path(__file__).parent / "data" / "catalog_reference.json", encoding="utf-8") as _fh:
+    REFERENCE = json.load(_fh)
 TWO_BAND = [n for n in ALL_MODELS if builtin_model(n).bands == 2]
 
 
@@ -171,6 +177,33 @@ def test_torus_wind_is_scaled_spin_map():
     assert np.allclose(f_tw, f_sp)
 
 
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_catalog_matches_recorded_reference(name):
+    """Field, h0, Jacobian and matrix agree to 1e-12 with values recorded from
+    the hand-written catalog that the hopping tables replaced."""
+    model = builtin_model(name)
+    for case in REFERENCE["models"][name]:
+        p = model.params_with_defaults(case["params"])
+        ks = np.array(case["k"])
+        kx, ky = ks[:, 0], ks[:, 1]
+        got = {"field": model.field(p, kx, ky), "assemble": assemble(model, p, ks)}
+        if model.h0 is not None:
+            got["h0"] = model.h0(p, kx, ky)
+        if model.jac12 is not None:
+            got["jac12"] = model.jac12(p, kx, ky)
+        re, im = case["assemble"]
+        want = dict(case, assemble=np.array(re) + 1j * np.array(im))
+        assert set(got) == {"field", "h0", "jac12", "assemble"} & set(want), name
+        for key, value in got.items():
+            err = np.max(np.abs(value - np.asarray(want[key])))
+            assert err < 1e-12, (name, case["params"], key, err)
+
+
+def test_square_power_rejects_negative_degree():
+    with pytest.raises(ModelError):
+        eval_field(builtin_model("square_power"), {"d": -1}, (math.pi / 2, math.pi / 2))
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
@@ -307,10 +340,19 @@ def test_pre_dirac_requires_two_band_field():
 # ---------------------------------------------------------------------------
 
 
-def test_scale_all_matches_builtin_haldane_n2():
-    h = builtin_model("haldane")
+@pytest.mark.parametrize(
+    "base, builtin",
+    [
+        ("haldane", "haldane_n2"),
+        ("bhz_square", "square_n2"),
+        ("triangular", "triangular_n2"),
+        ("kagome", "kagome_n2"),
+    ],
+)
+def test_scale_all_matches_builtin_haldane_n2(base, builtin):
+    h = builtin_model(base)
     scaled = scale_model(h, 3, "all")
-    hn2 = builtin_model("haldane_n2")
+    hn2 = builtin_model(builtin)
     ks = RNG.uniform(-4, 4, (50, 2))
     assert np.allclose(eval_field(scaled, None, ks), eval_field(hn2, {"N": 3}, ks))
     assert np.allclose(
@@ -318,10 +360,13 @@ def test_scale_all_matches_builtin_haldane_n2():
     )
 
 
-def test_scale_hopping_only_matches_haldane_n():
-    h = builtin_model("haldane")
+@pytest.mark.parametrize(
+    "base, builtin", [("haldane", "haldane_n"), ("triangular", "triangular_n")]
+)
+def test_scale_hopping_only_matches_haldane_n(base, builtin):
+    h = builtin_model(base)
     hop = scale_model(h, -2, "hopping_only")
-    hn = builtin_model("haldane_n")
+    hn = builtin_model(builtin)
     ks = RNG.uniform(-4, 4, (40, 2))
     assert np.allclose(eval_field(hop, None, ks), eval_field(hn, {"N": -2}, ks))
 
