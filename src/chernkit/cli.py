@@ -246,10 +246,13 @@ def _cmd_scan(args) -> int:
     finally:
         if close:
             out.close()
+    certified = sum(cell.certified for cell in diagram.cells)
     summary = {
         "axes": [list(ax) for ax in diagram.axes],
         "boundaries": [[list(a), list(b)] for a, b in diagram.boundary],
         "errors": list(diagram.errors),
+        "certified": certified,
+        "refined": len(diagram.cells) - certified,
     }
     if close:
         _emit_json(summary)

@@ -133,7 +133,9 @@ def chern_berry_lattice(
 
     Every grid point is evaluated at its exact k (no periodic wrapping of
     eigenvectors), so the plaquette-phase sum is quantized even for models
-    that are periodic only up to a fixed unitary conjugation.
+    that are periodic only up to a fixed unitary conjugation.  Below the top
+    band the diagnostics also give the grid minimum of the gap above the band
+    (``gap_above``) and its k (``gap_above_k``).
     """
     if not 0 <= band < model.bands:
         raise ModelError(f"band must be in [0, {model.bands - 1}]")
@@ -147,8 +149,12 @@ def chern_berry_lattice(
     vals, vecs = np.linalg.eigh(H)
 
     gaps = []
+    diagnostics = {}
     if band + 1 < model.bands:
-        gaps.append(vals[..., band + 1] - vals[..., band])
+        above = vals[..., band + 1] - vals[..., band]
+        at = np.unravel_index(np.argmin(above), above.shape)
+        diagnostics = {"gap_above": float(above[at]), "gap_above_k": tuple(K[at].tolist())}
+        gaps.append(above)
     if band > 0:
         gaps.append(vals[..., band] - vals[..., band - 1])
     gmin_grid = np.minimum.reduce(gaps)
@@ -176,6 +182,7 @@ def chern_berry_lattice(
         {
             "min_gap": gmin,
             "max_plaquette_flux": float(np.abs(flux).max()),
+            **diagnostics,
         },
     )
 

@@ -9,11 +9,13 @@ root finder.
 Each builtin is a tight-binding Hamiltonian H(k) = sum_R T_R e^{ik.R} held as
 a :class:`HoppingTable`: a function of the params that returns the vectors R
 and, per R, complex coefficients over the basis components and the identity.
-The table derives ``field``, ``h0`` and the exact ``jac12``, and gives
-``assemble`` every component in one pass.  Range families come from two
-rules: :func:`_dilate` (k -> (n1 kx, n2 ky): ``scale_model(..., "all")``, the
-``_n2`` builtins, ``spin_ssphere``, ``torus_wind``) and :func:`_hopping`
-(R -> N R on the (h1, h2) terms: ``haldane_n``, ``triangular_n``).  A new
+The table derives ``field``, ``h0``, the exact ``jac12`` and ``gap_slope``
+(a bound on how fast any band gap can change with k, which lets a phase scan
+certify a cell's gap from a grid), and gives ``assemble`` every component in
+one pass.  Range families come from two rules: :func:`_dilate`
+(k -> (n1 kx, n2 ky): ``scale_model(..., "all")``, the ``_n2`` builtins,
+``spin_ssphere``, ``torus_wind``) and :func:`_hopping` (R -> N R on the
+(h1, h2) terms: ``haldane_n``, ``triangular_n``).  A new
 model is a terms function plus one ``_CATALOG`` entry; a hand-written
 :class:`BlochModel` with its own callbacks works as well.
 
@@ -134,6 +136,9 @@ class BlochModel:
     periodicity: str = "exact"
     #: name of the builtin implementing the hopping-only range-N family
     hopping_family: str | None = None
+    #: (params with defaults) -> upper bound on |grad_k| of every band gap; None
+    #: when unknown (the certified scan then refines every cell)
+    gap_slope: Callable | None = None
 
     def params_with_defaults(self, params: dict | None) -> dict:
         p = dict(self.defaults)
@@ -180,10 +185,15 @@ def spectrum(H: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(H)
 
 
-def gap(model: BlochModel, params: dict | None, k, band: int = 0) -> float:
-    """Gap above the given band at k (2-band models use the closed form)."""
+def _check_gap_band(model: BlochModel, band: int) -> None:
+    """A gap lies above ``band`` only below the top band."""
     if not 0 <= band <= model.bands - 2:
         raise ModelError(f"band must be in [0, {model.bands - 2}]")
+
+
+def gap(model: BlochModel, params: dict | None, k, band: int = 0) -> float:
+    """Gap above the given band at k (2-band models use the closed form)."""
+    _check_gap_band(model, band)
     if model.bands == 2 and model.field is not None:
         h = eval_field(model, params, k)
         return float(2.0 * np.linalg.norm(h[..., :3], axis=-1))
@@ -202,7 +212,8 @@ class HoppingTable:
     ``terms(p)`` returns vectors R, shape (T, 2), and coefficients C, shape
     (T, K): component c is Re sum_R C[R, c] e^{ik.R}, over the Pauli (K = 4) or
     Gell-Mann (K = 9) components and then the identity.  The table is a model's
-    ``field``; it keeps the terms of the last params for the root finder.
+    ``field``; it keeps the terms of the last params, folded by :func:`_fold`,
+    for the root finder.
     """
 
     def __init__(self, terms: Callable, h0: bool = False):
@@ -210,23 +221,40 @@ class HoppingTable:
         self.h0 = self._identity if h0 else None
         self._last: tuple = (None, None)
 
-    def _sum(self, p, kx, ky, jac: bool = False) -> np.ndarray:
-        """All components at k, or d(h1, h2)/d(kx, ky) = Re sum_R i R C e^{ik.R} flattened."""
+    def _compiled(self, p) -> tuple:
         key = tuple(p.items())
         last_key, compiled = self._last
         if key != last_key:
-            R, C = self.terms(p)
-            R = np.asarray(R, dtype=float)
-            C = np.asarray(C, dtype=complex)
+            R, C = _fold(*self.terms(p))
             dC = (C[:, :2, None] * (1j * R[:, None, :])).reshape(len(R), 4)
             compiled = (R[:, 0].copy(), R[:, 1].copy(), C, dC)
             self._last = (key, compiled)
-        Rx, Ry, C, dC = compiled
+        return compiled
+
+    def _sum(self, p, kx, ky, jac: bool = False) -> np.ndarray:
+        """All components at k, or d(h1, h2)/d(kx, ky) = Re sum_R i R C e^{ik.R} flattened."""
+        Rx, Ry, C, dC = self._compiled(p)
         kx = np.asarray(kx, dtype=float)[..., None]
         ky = np.asarray(ky, dtype=float)[..., None]
         ph = 1j * (kx * Rx + ky * Ry)
         np.exp(ph, out=ph)
         return (ph @ (dC if jac else C)).real
+
+    def gap_slope(self, p) -> float:
+        """Upper bound 2 kappa sum_R |R| sigma_R on |grad_k| of any band gap.
+
+        The traceless part moves along a unit direction u at rate
+        Re sum_R i (u.R) C_R e^{ik.R}, whose norm is at most sum_R |R| sigma_R
+        with sigma_R the largest singular value of [Re C_R, Im C_R] over the
+        non-identity components.  A coefficient vector v gives a matrix of
+        operator norm kappa |v| (1 for Pauli, 2/sqrt 3 for Gell-Mann), and by
+        Weyl's inequality a gap moves at most twice as fast as the matrix.
+        """
+        Rx, Ry, C, _ = self._compiled(p)
+        parts = np.stack([C[:, :-1].real, C[:, :-1].imag], axis=-1)
+        sigma = np.linalg.svd(parts, compute_uv=False)[:, 0]
+        kappa = 1.0 if C.shape[1] == 4 else 2.0 / SQRT3
+        return float(2.0 * kappa * np.hypot(Rx, Ry) @ sigma)
 
     def __call__(self, p, kx, ky) -> np.ndarray:
         return self._sum(p, kx, ky)[..., :-1]
@@ -237,6 +265,24 @@ class HoppingTable:
     def jac12(self, p, kx, ky) -> np.ndarray:
         J = self._sum(p, kx, ky, jac=True)
         return J.reshape(J.shape[:-1] + (2, 2))
+
+
+def _fold(R, C) -> tuple[np.ndarray, np.ndarray]:
+    """Terms with each -R folded into +R and equal R merged.
+
+    Re(c e^{-ik.R}) = Re(conj(c) e^{ik.R}), so a term in the lower half-plane
+    becomes its mirror with the conjugate coefficient; the table then costs
+    one exponential per distinct +-R pair.
+    """
+    R = np.asarray(R, dtype=float).reshape(-1, 2)
+    C = np.asarray(C, dtype=complex)
+    flip = (R[:, 1] < 0) | ((R[:, 1] == 0) & (R[:, 0] < 0))
+    R = np.where(flip[:, None], -R, R)
+    C = np.where(flip[:, None], C.conj(), C)
+    _, first, group = np.unique(np.round(R, 9), axis=0, return_index=True, return_inverse=True)
+    merged = np.zeros((len(first), C.shape[1]), dtype=complex)
+    np.add.at(merged, group.ravel(), C)
+    return R[first], merged
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +389,23 @@ def _dilate(model: BlochModel, ns: tuple, **changes) -> BlochModel:
     Jacobian columns scale by n1 and n2.  Each of ``ns`` is an integer or the
     name of an integer parameter."""
 
+    def factors(p):
+        return [int(p[x]) if isinstance(x, str) else x for x in ns]
+
     def at(fn, columns=False):
         def stretched(p, kx, ky):
-            n = [int(p[x]) if isinstance(x, str) else x for x in ns]
+            n = factors(p)
             out = fn(p, n[0] * kx, n[1] * ky)
             return out * n if columns else out
 
         return None if fn is None else stretched
 
+    def slope(p):
+        return max(abs(n) for n in factors(p)) * model.gap_slope(p)
+
     stretch = {f: at(getattr(model, f)) for f in ("field", "h0", "matrix_fn")}
+    if model.gap_slope is not None:
+        changes["gap_slope"] = slope
     return dataclasses.replace(model, jac12=at(model.jac12, True), **stretch, **changes)
 
 
@@ -379,7 +433,10 @@ def _model(name, terms, lattice, defaults, bands=2, h0=False, **fields) -> Bloch
     table = HoppingTable(terms, h0)
     jac12 = table.jac12 if bands == 2 else None
     zone = _ZONES.get(lattice, SQUARE_ZONE)
-    return BlochModel(name, bands, lattice, dict(defaults), zone, table, table.h0, jac12, **fields)
+    return BlochModel(
+        name, bands, lattice, dict(defaults), zone, table, table.h0, jac12,
+        gap_slope=table.gap_slope, **fields
+    )
 
 
 def _haldane(name, defaults=_HALDANE_N, extra=None, terms=_honeycomb, **fields):

@@ -27,7 +27,7 @@ from .invariants import (
     sphere_map_degree,
     winding_number,
 )
-from .models import BlochModel, ModelError, assemble, pre_dirac_points
+from .models import BlochModel, ModelError, _check_gap_band, assemble, pre_dirac_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +51,7 @@ def minimum_gap(
     A coarse grid locates the candidate minimum; Nelder-Mead descent in
     fractional momentum coordinates refines it.
     """
+    _check_gap_band(model, band)
     p = model.params_with_defaults(params)
     frac = np.arange(kgrid) / kgrid
     S, T = np.meshgrid(frac, frac, indexing="ij")
@@ -73,14 +74,41 @@ def minimum_gap(
     return best, loc
 
 
+def _covering_radius(zone, grid: int) -> float:
+    """Distance within which every k of the zone has a node of the Berry grid.
+
+    A grid cell is a parallelogram with sides g1/grid and g2/grid; its shorter
+    diagonal cuts it into two congruent triangles, and every point of a
+    triangle lies within its circumradius of a vertex, or within half its
+    longest side when the triangle is right or obtuse.
+    """
+    a, b = zone.g1 / grid, zone.g2 / grid
+    diagonal = min(np.linalg.norm(a + b), np.linalg.norm(a - b))
+    x, y, z = sorted([float(np.linalg.norm(a)), float(np.linalg.norm(b)), diagonal])
+    if z * z >= x * x + y * y:
+        return z / 2
+    return x * y * z / (2 * abs(a[0] * b[1] - a[1] * b[0]))
+
+
 @dataclass(frozen=True)
 class Cell:
+    """One scan cell.
+
+    A ``certified`` cell skipped the refinement: its Berry grid alone proves
+    the gap open, and ``min_gap`` and ``min_gap_location`` are the grid
+    minimum and its k.  The true minimum then lies in
+    ``[min_gap - slope * delta, min_gap]``, with ``slope`` the model's
+    ``gap_slope`` and ``delta`` the grid's covering radius.  Other cells carry
+    the refined minimum of :func:`minimum_gap`.
+    """
+
     index: tuple[int, ...]
     params: dict
     chern: object  # int, DEGENERATE, or None when an engine error occurred
     min_gap: float
     min_gap_location: tuple[float, float]
     error: str | None = None
+    certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -123,14 +151,20 @@ def scan(
 ) -> PhaseDiagram:
     """Label a 1D or 2D parameter grid with Chern numbers.
 
-    ``axes`` is a list of one or two ``(name, lo, hi, n)`` tuples.  Cells
-    whose refined minimum gap falls below the threshold are DEGENERATE;
-    engine failures are recorded per cell without aborting the scan.  Cells
-    run serially; ``workers`` is accepted for compatibility and ignored.
+    ``axes`` is a list of one or two ``(name, lo, hi, n)`` tuples.  Each cell
+    runs the Berry engine first.  When the model has a ``gap_slope`` and the
+    Berry grid's minimum gap above ``band``, less the slope times the grid's
+    covering radius, is at least the threshold, the gap is proven open and
+    the cell is certified with the Berry value.  Other cells refine the gap
+    with :func:`minimum_gap`: below the threshold they are DEGENERATE, else
+    they take the Berry value.  Engine failures are recorded per cell without
+    aborting the scan.  Cells run serially; ``workers`` is accepted for
+    compatibility and ignored.
     """
     axes = [tuple(a) for a in axes]
     if not 1 <= len(axes) <= 2:
         raise ModelError("scan supports 1 or 2 axes")
+    _check_gap_band(model, band)
     schema = model.defaults
     for name, *_ in axes:
         if name not in schema:
@@ -142,11 +176,22 @@ def scan(
     def run_cell(index):
         params = {name: float(vals[i]) for (name, vals), i in zip(named, index)}
         try:
+            berry = chern_berry_lattice(model, params, band=band, grid=grid)
+        except (InvariantError, ModelError) as exc:
+            berry = exc
+        try:
+            if isinstance(berry, ChernResult) and model.gap_slope is not None:
+                gap = berry.diagnostics["gap_above"]
+                slope = model.gap_slope(model.params_with_defaults(params))
+                if gap - slope * _covering_radius(model.zone, int(grid)) >= degeneracy_threshold:
+                    loc = berry.diagnostics["gap_above_k"]
+                    return Cell(index, params, berry.value, gap, loc, certified=True)
             gap, loc = minimum_gap(model, params, band=band, kgrid=kgrid)
             if gap < degeneracy_threshold:
                 return Cell(index, params, DEGENERATE, gap, tuple(loc))
-            result = chern_berry_lattice(model, params, band=band, grid=grid)
-            return Cell(index, params, result.value, gap, tuple(loc))
+            if isinstance(berry, Exception):
+                raise berry
+            return Cell(index, params, berry.value, gap, tuple(loc))
         except (InvariantError, ModelError) as exc:
             return Cell(
                 index, params, None, float("nan"), (float("nan"),) * 2, error=str(exc)
@@ -191,6 +236,7 @@ def locate_transition(
     minimal |h3| (exact up to the bisection tolerance); multi-band models use
     bounded minimization of the refined minimum gap.
     """
+    _check_gap_band(model, band)
     base = model.params_with_defaults(params)
     if axis not in base:
         raise ModelError(f"{axis!r} is not a parameter of {model.name}")

@@ -272,6 +272,25 @@ def test_scan_config_params_become_defaults(capsys):
     assert [r["chern"] for r in rows] == ["1", "1", "0", "0", "0"]
 
 
+def test_scan_summary_counts_certified_and_refined(capsys):
+    code, out, err = _run(
+        capsys, "scan", "--model-config", HALDANE, "--axis", "m:0:4:9", "--grid", "32"
+    )
+    assert code == 0
+    summary = json.loads(err)
+    assert summary["certified"] > 0 and summary["refined"] > 0
+    assert summary["certified"] + summary["refined"] == 9
+    rows = list(csv.DictReader(out.splitlines()))
+    assert list(rows[0]) == ["m", "chern", "min_gap"]
+
+
+def test_scan_band_out_of_range_exits_2(capsys):
+    cfg = json.dumps({"model": "bhz_square"})
+    code, _, err = _run(capsys, "scan", "--model-config", cfg, "--axis", "m:-1:1:3", "--band", "1")
+    assert code == 2
+    assert "band" in json.loads(err)["error"]
+
+
 def test_scan_bad_axis_exits_2(capsys):
     code, _, err = _run(
         capsys, "scan", "--model-config", HALDANE, "--axis", "m:0:1"

@@ -17,7 +17,7 @@ from chernkit.invariants import (
     sphere_map_degree,
     winding_number,
 )
-from chernkit.models import builtin_model, scale_model
+from chernkit.models import builtin_model, gap, scale_model
 
 SQRT3 = math.sqrt(3.0)
 
@@ -147,6 +147,17 @@ def test_grid_stability():
     kg = builtin_model("kagome")
     vals = {chern_berry_lattice(kg, grid=g).value for g in (40, 80, 160)}
     assert len(vals) == 1
+
+
+def test_berry_records_grid_gap_above_band():
+    h = builtin_model("haldane")
+    diag = chern_berry_lattice(h, {"m": 0.7}, grid=40).diagnostics
+    assert diag["gap_above"] == pytest.approx(gap(h, {"m": 0.7}, diag["gap_above_k"]), abs=1e-12)
+    assert diag["gap_above"] >= diag["min_gap"]
+    assert "gap_above" not in chern_berry_lattice(h, {"m": 0.7}, band=1, grid=40).diagnostics
+    kg = builtin_model("kagome")
+    diag = chern_berry_lattice(kg, band=1, grid=40).diagnostics
+    assert diag["gap_above"] == pytest.approx(gap(kg, None, diag["gap_above_k"], band=1), abs=1e-12)
 
 
 def test_gauge_randomization_invariance():

@@ -199,6 +199,62 @@ def test_catalog_matches_recorded_reference(name):
             assert err < 1e-12, (name, case["params"], key, err)
 
 
+@pytest.mark.parametrize(
+    "name, terms", [("haldane", 4), ("haldane3nn", 5), ("square_power", 3)]
+)
+def test_table_folds_mirror_terms(name, terms):
+    """-R terms are folded into +R and equal R merged: one exponential per +-R pair."""
+    model = builtin_model(name)
+    R, C = models._fold(*model.field.terms(model.defaults))
+    assert len(R) == terms == len(C)
+
+
+SLOPE_MODELS = [(n, None) for n in TWO_BAND] + [("kagome", None), ("haldane", 2)]
+
+
+@pytest.mark.parametrize("name, N", SLOPE_MODELS)
+def test_gap_slope_bounds_directional_derivative(name, N):
+    """The central difference of every band gap along a random direction never
+    exceeds ``gap_slope``, at random k and +-20% jittered float params."""
+    model = builtin_model(name)
+    if N is not None:
+        model = scale_model(model, N)
+    rng = np.random.default_rng(20261018)
+    eps = 1e-6
+    for _ in range(8):
+        p = {
+            key: val * rng.uniform(0.8, 1.2) if isinstance(val, float) else val
+            for key, val in model.defaults.items()
+        }
+        slope = model.gap_slope(model.params_with_defaults(p))
+        for k in rng.uniform(-6, 6, (25, 2)):
+            u = rng.normal(size=2)
+            u /= np.linalg.norm(u)
+            for band in range(model.bands - 1):
+                rise = gap(model, p, k + eps * u, band) - gap(model, p, k - eps * u, band)
+                assert abs(rise) / (2 * eps) <= slope * (1 + 1e-6), (name, p, k, band)
+
+
+def test_gap_slope_is_attained_by_a_single_cosine():
+    """h = (0, 0, m + t cos kx): the gap 2|m + t cos kx| changes at rate 2t at kx = pi/2."""
+    model = models._model(
+        "cosine", lambda p: ([[0, 0], [1, 0]], [[0, 0, p["m"], 0], [0, 0, p["t"], 0]]),
+        "square", {"m": 0.5, "t": 1.3},
+    )
+    eps = 1e-6
+    rise = gap(model, None, (math.pi / 2 - eps, 0.0)) - gap(model, None, (math.pi / 2 + eps, 0.0))
+    assert rise / (2 * eps) == pytest.approx(model.gap_slope(model.defaults), rel=1e-6)
+    assert model.gap_slope(model.defaults) == pytest.approx(2 * 1.3)
+
+
+def test_gap_slope_only_where_it_is_known():
+    haldane = builtin_model("haldane")
+    assert scale_model(haldane, 2).gap_slope(haldane.defaults) == pytest.approx(
+        2 * haldane.gap_slope(haldane.defaults)
+    )
+    assert fold_bands(builtin_model("bhz_square"), 2).gap_slope is None
+
+
 def test_square_power_rejects_negative_degree():
     with pytest.raises(ModelError):
         eval_field(builtin_model("square_power"), {"d": -1}, (math.pi / 2, math.pi / 2))

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from chernkit.models import ModelError, builtin_model
+from chernkit.models import SQUARE_ZONE, BlochModel, ModelError, builtin_model
 from chernkit.phasediag import (
     DEGENERATE,
+    _covering_radius,
     FanDiagram,
     dirac_count,
     fan_family,
@@ -145,6 +146,69 @@ def test_kagome_scan_flags_degeneracies():
     labels = [c.chern for c in pd.cells]
     assert labels[2] == DEGENERATE  # u1 = 0 collapses the spectrum
     assert all(isinstance(v, int) for i, v in enumerate(labels) if i != 2)
+
+
+# ---------------------------------------------------------------------------
+# certified cells
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["bhz_square", "haldane", "triangular", "kagome"])
+@pytest.mark.parametrize("grid", [7, 40])
+def test_covering_radius_reaches_every_k(name, grid):
+    zone = builtin_model(name).zone
+    delta = _covering_radius(zone, grid)
+    frac = np.arange(grid + 1) / grid
+    nodes = zone.kpoint(*np.meshgrid(frac, frac, indexing="ij")).reshape(-1, 2)
+    ks = zone.kpoint(*np.random.default_rng(7).uniform(0, 1, (2, 2000)))
+    nearest = np.linalg.norm(ks[:, None, :] - nodes[None], axis=-1).min(axis=1)
+    assert nearest.max() <= delta
+    assert nearest.max() > 0.8 * delta  # the radius is not loose
+
+
+@pytest.mark.parametrize(
+    "name, axes",
+    [
+        ("haldane", [("phi", -math.pi, math.pi, 5), ("m", -4.0, 4.0, 5)]),
+        ("kagome", [("u1", -2.5, 2.5, 11)]),
+    ],
+)
+def test_certified_gap_brackets_refined_minimum(name, axes):
+    model = builtin_model(name)
+    pd = scan(model, axes)
+    certified = [c for c in pd.cells if c.certified]
+    assert certified and len(certified) < len(pd.cells)
+    delta = _covering_radius(model.zone, 40)
+    for c in certified:
+        slope = model.gap_slope(model.params_with_defaults(c.params))
+        refined, _ = minimum_gap(model, c.params, kgrid=64)
+        assert 1e-6 <= c.min_gap - slope * delta <= refined <= c.min_gap + 1e-9, c.params
+    for c in pd.cells:
+        if not c.certified and c.chern != DEGENERATE:
+            assert c.min_gap == minimum_gap(model, c.params)[0]
+
+
+def test_model_without_gap_slope_refines_every_cell():
+    def bhz(p, kx, ky):
+        return np.stack([np.sin(kx), np.sin(ky), p["m"] - np.cos(kx) - np.cos(ky)], axis=-1)
+
+    hand = BlochModel("bhz_by_hand", 2, "square", {"m": -1.0}, SQUARE_ZONE, bhz)
+    axes = [("m", -3.0, 3.0, 13)]
+    pd = scan(hand, axes, grid=32)
+    assert not any(c.certified for c in pd.cells)
+    builtin = scan(builtin_model("bhz_square"), axes, grid=32)
+    assert any(c.certified for c in builtin.cells)
+    assert [c.chern for c in pd.cells] == [c.chern for c in builtin.cells]
+    assert pd.boundary == builtin.boundary
+
+
+def test_band_outside_gap_range_raises_model_error():
+    with pytest.raises(ModelError):
+        scan(builtin_model("bhz_square"), [("m", -1.0, 1.0, 3)], band=1)
+    with pytest.raises(ModelError):
+        locate_transition(builtin_model("kagome"), "u1", 1.0, 2.5, band=2)
+    with pytest.raises(ModelError):
+        minimum_gap(builtin_model("haldane"), band=-1)
 
 
 # ---------------------------------------------------------------------------
