@@ -3,7 +3,7 @@
 The model's ground band carries Chern number +1 or -1 inside the two lobes
 |m| < 3*sqrt(3)*t2*|sin(phi)| and 0 outside.  We scan a (phi, m) grid with
 the Berry-plaquette engine, render the labels as text, and then locate the
-boundary constant by bisection on the gap-closing indicator.
+boundary constant as the root of the gap-closing indicator.
 """
 
 import math
@@ -37,7 +37,7 @@ def main() -> None:
     print()
     print("boundary constant (phi = pi/2, t2 = 1):")
     m_star = locate_transition(haldane, "m", 4.0, 6.0, params={"t2": 1.0})
-    print(f"  bisection:   m* = {m_star:.12f}")
+    print(f"  located:     m* = {m_star:.12f}")
     print(f"  closed form: 3*sqrt(3) = {3 * math.sqrt(3):.12f}")
 
     print()

@@ -266,7 +266,9 @@ def _rotation_to_z(ray: np.ndarray) -> np.ndarray:
 
 
 def _rotated_model(model: BlochModel, R: np.ndarray) -> BlochModel:
-    base = model.field
+    """The model with h -> R h; its (h1, h2) Jacobian is rows 1-2 of R J when the
+    model has the full Jacobian J, else the root finder's central differences."""
+    base, jac = model.field, model.jac
     return BlochModel(
         name=model.name + "_rot",
         bands=2,
@@ -274,7 +276,7 @@ def _rotated_model(model: BlochModel, R: np.ndarray) -> BlochModel:
         defaults=model.defaults,
         zone=model.zone,
         field=lambda p, kx, ky: base(p, kx, ky) @ R.T,
-        jac12=None,
+        jac12=None if jac is None else lambda p, kx, ky: R[:2] @ jac(p, kx, ky),
         geometry=model.geometry,
         periodicity=model.periodicity,
     )

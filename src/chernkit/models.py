@@ -3,16 +3,16 @@
 Every model is a :class:`BlochModel`: a named map from the momentum torus to a
 real coefficient vector in the Pauli basis (2 bands) or the Gell-Mann basis
 (3 bands), together with its Brillouin zone, neighbor geometry, parameter
-schema, and (for 2-band models) the analytic Jacobian of (h1, h2) used by the
-root finder.
+schema, and (for 2-band models) the analytic Jacobian of h: the root finder
+uses its (h1, h2) rows, and the ray engine rotates all three rows.
 
 Each builtin is a tight-binding Hamiltonian H(k) = sum_R T_R e^{ik.R} held as
 a :class:`HoppingTable`: a function of the params that returns the vectors R
 and, per R, complex coefficients over the basis components and the identity.
-The table derives ``field``, ``h0``, the exact ``jac12`` and ``gap_slope``
-(a bound on how fast any band gap can change with k, which lets a phase scan
-certify a cell's gap from a grid), and gives ``assemble`` every component in
-one pass.  Range families come from two rules: :func:`_dilate`
+The table derives ``field``, ``h0``, the exact Jacobians ``jac`` and ``jac12``,
+and ``gap_slope`` (a bound on how fast any band gap can change with k, which
+lets a phase scan certify a cell's gap from a grid), and gives ``assemble``
+every component in one pass.  Range families come from two rules: :func:`_dilate`
 (k -> (n1 kx, n2 ky): ``scale_model(..., "all")``, the ``_n2`` builtins,
 ``spin_ssphere``, ``torus_wind``) and :func:`_hopping` (R -> N R on the
 (h1, h2) terms: ``haldane_n``, ``triangular_n``).  A new
@@ -107,8 +107,8 @@ class BrillouinZone:
         return s * self.g1 + t * self.g2
 
     def frac(self, k) -> np.ndarray:
-        """Fractional coordinates of k (inverse of :meth:`kpoint`)."""
-        return np.linalg.solve(self.matrix, np.asarray(k, dtype=float))
+        """Fractional coordinates of k, shape (2,) or (n, 2) (inverse of :meth:`kpoint`)."""
+        return np.linalg.solve(self.matrix, np.asarray(k, dtype=float).T).T
 
 
 SQUARE_ZONE = BrillouinZone(g1=(2 * math.pi, 0.0), g2=(0.0, 2 * math.pi))
@@ -127,7 +127,8 @@ class BlochModel:
     field: Callable | None
     #: optional scalar sigma_0 / identity part
     h0: Callable | None = None
-    #: analytic d(h1,h2)/d(kx,ky), shape (..., 2, 2); 2-band builtins supply it
+    #: analytic d(h1,h2)/d(kx,ky), shape (..., 2, 2); 2-band builtins supply it,
+    #: and the root finder falls back to central differences without it
     jac12: Callable | None = None
     #: direct matrix map for models without a coefficient field (band folding)
     matrix_fn: Callable | None = None
@@ -139,6 +140,9 @@ class BlochModel:
     #: (params with defaults) -> upper bound on |grad_k| of every band gap; None
     #: when unknown (the certified scan then refines every cell)
     gap_slope: Callable | None = None
+    #: analytic dh/d(kx,ky), shape (..., 3, 2), of which ``jac12`` is rows 1-2;
+    #: 2-band builtins supply it so that rotated rays get exact Jacobians too
+    jac: Callable | None = None
 
     def params_with_defaults(self, params: dict | None) -> dict:
         p = dict(self.defaults)
@@ -226,13 +230,13 @@ class HoppingTable:
         last_key, compiled = self._last
         if key != last_key:
             R, C = _fold(*self.terms(p))
-            dC = (C[:, :2, None] * (1j * R[:, None, :])).reshape(len(R), 4)
+            dC = (C[:, :3, None] * (1j * R[:, None, :])).reshape(len(R), 6)
             compiled = (R[:, 0].copy(), R[:, 1].copy(), C, dC)
             self._last = (key, compiled)
         return compiled
 
     def _sum(self, p, kx, ky, jac: bool = False) -> np.ndarray:
-        """All components at k, or d(h1, h2)/d(kx, ky) = Re sum_R i R C e^{ik.R} flattened."""
+        """All components at k, or d(h1, h2, h3)/d(kx, ky) = Re sum_R i R C e^{ik.R} flattened."""
         Rx, Ry, C, dC = self._compiled(p)
         kx = np.asarray(kx, dtype=float)[..., None]
         ky = np.asarray(ky, dtype=float)[..., None]
@@ -262,9 +266,12 @@ class HoppingTable:
     def _identity(self, p, kx, ky) -> np.ndarray:
         return self._sum(p, kx, ky)[..., -1]
 
-    def jac12(self, p, kx, ky) -> np.ndarray:
+    def jac(self, p, kx, ky) -> np.ndarray:
         J = self._sum(p, kx, ky, jac=True)
-        return J.reshape(J.shape[:-1] + (2, 2))
+        return J.reshape(J.shape[:-1] + (3, 2))
+
+    def jac12(self, p, kx, ky) -> np.ndarray:
+        return self.jac(p, kx, ky)[..., :2, :]
 
 
 def _fold(R, C) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +413,8 @@ def _dilate(model: BlochModel, ns: tuple, **changes) -> BlochModel:
     stretch = {f: at(getattr(model, f)) for f in ("field", "h0", "matrix_fn")}
     if model.gap_slope is not None:
         changes["gap_slope"] = slope
-    return dataclasses.replace(model, jac12=at(model.jac12, True), **stretch, **changes)
+    jacs = {f: at(getattr(model, f), True) for f in ("jac", "jac12")}
+    return dataclasses.replace(model, **jacs, **stretch, **changes)
 
 
 def _hopping(terms: Callable) -> Callable:
@@ -431,11 +439,11 @@ _POWER = {"alpha": 1.0, "beta": 1.0, "gamma1": 0.5, "gamma2": 0.25, "m0": 0.0, "
 
 def _model(name, terms, lattice, defaults, bands=2, h0=False, **fields) -> BlochModel:
     table = HoppingTable(terms, h0)
-    jac12 = table.jac12 if bands == 2 else None
+    jac, jac12 = (table.jac, table.jac12) if bands == 2 else (None, None)
     zone = _ZONES.get(lattice, SQUARE_ZONE)
     return BlochModel(
         name, bands, lattice, dict(defaults), zone, table, table.h0, jac12,
-        gap_slope=table.gap_slope, **fields
+        gap_slope=table.gap_slope, jac=jac, **fields
     )
 
 
@@ -606,15 +614,13 @@ class PreDiracPoint:
     degenerate: bool
 
 
-def _fd_jac12(model, p, k, eps=1e-7):
-    out = np.zeros((2, 2))
-    for j in range(2):
-        dk = np.zeros(2)
-        dk[j] = eps
-        hp = model.field(p, *(k + dk))[:2]
-        hm = model.field(p, *(k - dk))[:2]
-        out[:, j] = (hp - hm) / (2 * eps)
-    return out
+def _fd_jac12(model, p, kx, ky, eps=1e-7) -> np.ndarray:
+    """Central-difference d(h1, h2)/d(kx, ky) at 1-D arrays of k, shape (n, 2, 2),
+    from one field call on the four shifted copies of the points."""
+    X = np.concatenate([kx + eps, kx - eps, kx, kx])
+    Y = np.concatenate([ky, ky, ky + eps, ky - eps])
+    h = model.field(p, X, Y)[:, :2].reshape(4, len(kx), 2)
+    return np.stack([h[0] - h[1], h[2] - h[3]], axis=-1) / (2 * eps)
 
 
 def pre_dirac_points(
@@ -625,59 +631,65 @@ def pre_dirac_points(
 ) -> list[PreDiracPoint]:
     """All zeros of (h1, h2) on the zone, Newton-refined from a dense seed grid.
 
+    Newton runs on the best seeds at once: each step is one batched field and
+    Jacobian call on the seeds still iterating, with the 2x2 systems solved in
+    closed form; a seed leaves when it converges or its Jacobian is singular.
     Each zero carries sgn det d(h1,h2)/d(kx,ky); zeros with a singular Jacobian
-    are reported with ``degenerate=True`` rather than dropped.
+    are reported with ``degenerate=True`` rather than dropped.  The zeros come
+    in the order of their seam keys (fractional coordinates on a 1e-6 grid).
     """
     if model.bands != 2 or model.field is None:
         raise ModelError("pre_dirac_points requires a 2-band coefficient model")
     p = model.params_with_defaults(params)
     zone = model.zone
-    G = zone.matrix
 
-    found: dict[tuple[int, int], PreDiracPoint] = {}
+    def jac12(kx, ky):
+        return model.jac12(p, kx, ky) if model.jac12 else _fd_jac12(model, p, kx, ky)
+
     ss = (np.arange(seed_density) + 0.5) / seed_density
     S, T = np.meshgrid(ss, ss, indexing="ij")
     K = zone.kpoint(S.ravel(), T.ravel())
     H = model.field(p, K[:, 0], K[:, 1])
     res = np.hypot(H[:, 0], H[:, 1])
     scale = max(res.max(), 1.0)
-    order = np.argsort(res)
-    seeds = K[order[: max(64, 8 * seed_density)]]
+    k = K[np.argsort(res)[: max(64, 8 * seed_density)]]
 
-    for k0 in seeds:
-        k = k0.copy()
-        ok = False
-        for _ in range(60):
-            h = model.field(p, k[0], k[1])
-            f = h[:2]
-            if np.hypot(*f) < tol:
-                ok = True
-                break
-            J = model.jac12(p, k[0], k[1]) if model.jac12 else _fd_jac12(model, p, k)
-            try:
-                step = np.linalg.solve(J, f)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 2.0:
-                step = 2.0 * step / np.linalg.norm(step)
-            k = k - step
-        if not ok:
-            continue
-        frac = np.linalg.solve(G, k) % 1.0
-        frac[frac > 1.0 - 1e-7] = 0.0  # canonical representative at the seam
-        key = tuple((np.round(frac * 1e6).astype(int) % 1000000))
-        if key in found:
-            continue
-        kred = zone.kpoint(frac[0], frac[1])
-        h = model.field(p, kred[0], kred[1])
-        J = model.jac12(p, kred[0], kred[1]) if model.jac12 else _fd_jac12(model, p, kred)
-        det = float(np.linalg.det(J))
-        degenerate = abs(det) < 1e-8 * scale**2
-        found[key] = PreDiracPoint(
-            k=kred,
-            frac=(float(frac[0]), float(frac[1])),
-            jac_sign=0 if degenerate else int(np.sign(det)),
-            h3=float(h[2]),
-            degenerate=degenerate,
+    converged = np.zeros(len(k), dtype=bool)
+    alive = np.arange(len(k))
+    for _ in range(60):
+        f = model.field(p, k[alive, 0], k[alive, 1])[:, :2]
+        done = np.hypot(f[:, 0], f[:, 1]) < tol
+        converged[alive[done]] = True
+        alive, f = alive[~done], f[~done]
+        if not alive.size:
+            break
+        a, b, c, d = jac12(k[alive, 0], k[alive, 1]).reshape(-1, 4).T
+        det = a * d - b * c
+        regular = det != 0  # where np.linalg.solve would raise: the seed is dropped
+        step = np.stack([d * f[:, 0] - b * f[:, 1], a * f[:, 1] - c * f[:, 0]], axis=-1)
+        step = step[regular] / det[regular, None]
+        alive = alive[regular]
+        norm = np.hypot(step[:, 0], step[:, 1])[:, None]
+        k[alive] -= np.where(norm > 2.0, 2.0 * step / norm, step)
+    if not converged.any():
+        return []
+
+    frac = zone.frac(k[converged]) % 1.0
+    frac[frac > 1.0 - 1e-7] = 0.0  # canonical representative at the seam
+    keys = np.round(frac * 1e6).astype(int) % 1000000
+    _, first = np.unique(keys[:, 0] * 1000000 + keys[:, 1], return_index=True)
+    frac = frac[first]
+    kred = zone.kpoint(frac[:, 0], frac[:, 1])
+    h3 = model.field(p, kred[:, 0], kred[:, 1])[:, 2]
+    det = np.linalg.det(jac12(kred[:, 0], kred[:, 1]))
+    degenerate = np.abs(det) < 1e-8 * scale**2
+    return [
+        PreDiracPoint(
+            k=kred[i],
+            frac=(float(frac[i, 0]), float(frac[i, 1])),
+            jac_sign=0 if degenerate[i] else int(np.sign(det[i])),
+            h3=float(h3[i]),
+            degenerate=bool(degenerate[i]),
         )
-    return sorted(found.values(), key=lambda q: q.frac)
+        for i in range(len(first))
+    ]

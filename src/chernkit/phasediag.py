@@ -232,9 +232,9 @@ def locate_transition(
 ) -> float:
     """Parameter value in [lo, hi] where the gap above ``band`` closes.
 
-    Two-band models use bisection on the sign of h3 at the pre-Dirac point of
-    minimal |h3| (exact up to the bisection tolerance); multi-band models use
-    bounded minimization of the refined minimum gap.
+    Two-band models find the root of h3 at the pre-Dirac point of minimal |h3|
+    by Brent's method (exact up to ``tol``); multi-band models use bounded
+    minimization of the refined minimum gap.
     """
     _check_gap_band(model, band)
     base = model.params_with_defaults(params)
@@ -253,11 +253,10 @@ def locate_transition(
         # minimal-|h3| pre-Dirac point is unique (the sign indicator is
         # discontinuous where two points tie)
         xs = np.linspace(float(lo), float(hi), 65)
-        vs = [abs(indicator(x)) for x in xs]
-        i0 = int(np.argmin(vs))
-        a = float(xs[max(i0 - 1, 0)])
-        b = float(xs[min(i0 + 1, len(xs) - 1)])
-        fa, fb = indicator(a), indicator(b)
+        vs = [indicator(x) for x in xs]
+        i0 = int(np.argmin(np.abs(vs)))
+        ia, ib = max(i0 - 1, 0), min(i0 + 1, len(xs) - 1)
+        a, b, fa, fb = float(xs[ia]), float(xs[ib]), vs[ia], vs[ib]
         if fa == 0.0:
             return a
         if fb == 0.0:
@@ -266,16 +265,7 @@ def locate_transition(
             raise ModelError(
                 f"no sign change of the gap indicator on [{lo}, {hi}]"
             )
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            fm = indicator(m)
-            if fm == 0.0:
-                return m
-            if np.sign(fm) == np.sign(fa):
-                a, fa = m, fm
-            else:
-                b = m
-        return 0.5 * (a + b)
+        return float(optimize.brentq(indicator, a, b, xtol=tol))
 
     def gap_of(x):
         return minimum_gap(model, {**base, axis: float(x)}, band=band)[0]

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from chernkit import models
+from chernkit.invariants import _ray_perturbations, _rotated_model, _rotation_to_z, degree_ray
 from chernkit.models import (
+    SQUARE_ZONE,
+    BlochModel,
     BrillouinZone,
     ModelError,
     assemble,
@@ -31,6 +34,12 @@ ALL_MODELS = catalog()
 with open(Path(__file__).parent / "data" / "catalog_reference.json", encoding="utf-8") as _fh:
     REFERENCE = json.load(_fh)
 TWO_BAND = [n for n in ALL_MODELS if builtin_model(n).bands == 2]
+#: (seam key, jac_sign, degenerate, h3) of every pre-Dirac zero, recorded with the
+#: scalar Newton loop that the batched one replaced: each 2-band catalog model at
+#: its defaults and two +-20% draws, unrotated (probe null) and on the six ray probes
+with open(Path(__file__).parent / "data" / "pre_dirac_reference.json", encoding="utf-8") as _fh:
+    PRE_DIRAC_REFERENCE = json.load(_fh)
+RAYS = list(_ray_perturbations())
 
 
 def same_k(zone, k1, k2, tol=1e-5):
@@ -384,6 +393,84 @@ def test_degenerate_pre_dirac_flagged():
     sq = builtin_model("square_power")
     pts = pre_dirac_points(sq, {"d": 2})
     assert pts and all(p.degenerate and p.jac_sign == 0 for p in pts)
+
+
+def _seam_key(frac):
+    return tuple(int(round(f * 1e6)) % 1000000 for f in frac)
+
+
+def _on_probe(model, probe):
+    return model if probe is None else _rotated_model(model, _rotation_to_z(RAYS[probe]))
+
+
+@pytest.mark.parametrize("name", TWO_BAND)
+def test_pre_dirac_matches_recorded_reference(name):
+    """Same zeros, signs and flags, and h3 to 1e-8, as the recorded scalar loop;
+    compared as sets, since the recorded order was not stable."""
+    model = builtin_model(name)
+    cases = [c for c in PRE_DIRAC_REFERENCE["cases"] if c["model"] == name]
+    assert len(cases) == 21
+    for case in cases:
+        pts = pre_dirac_points(_on_probe(model, case["probe"]), case["params"])
+        got = {_seam_key(q.frac): q for q in pts}
+        want = {(z[0], z[1]): z[2:] for z in case["zeros"]}
+        where = (name, case["params"], case["probe"])
+        assert set(got) == set(want), where
+        for key, (sign, degenerate, h3) in want.items():
+            assert (got[key].jac_sign, got[key].degenerate) == (sign, degenerate), where
+            assert abs(got[key].h3 - h3) < 1e-8, where
+
+
+@pytest.mark.parametrize("name", TWO_BAND)
+def test_pre_dirac_points_come_in_seam_key_order(name):
+    """Sorted by integer key, so zeros whose fractional coordinates tie up to the
+    last bits (triangular_n2: (1/6, ~0) and (1/6, 1/2)) keep their order."""
+    keys = [_seam_key(q.frac) for q in pre_dirac_points(builtin_model(name))]
+    assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("name", TWO_BAND)
+def test_rotated_jacobian_matches_central_differences(name):
+    """A rotated ray's (h1, h2) Jacobian is exact (rows 1-2 of R J), not the
+    finite-difference fallback."""
+    model = builtin_model(name)
+    p = model.params_with_defaults(None)
+    rng = np.random.default_rng(20261019)
+    eps = 1e-5
+    for probe in RAYS[1:]:
+        rot = _rotated_model(model, _rotation_to_z(probe))
+        assert rot.jac12 is not None
+        k = rng.uniform(-3, 3, (6, 2))
+        J = rot.jac12(p, k[:, 0], k[:, 1])
+        for j in range(2):
+            dk = np.zeros(2)
+            dk[j] = eps
+            hp, hm = rot.field(p, *(k + dk).T), rot.field(p, *(k - dk).T)
+            fd = (hp[:, :2] - hm[:, :2]) / (2 * eps)
+            assert np.allclose(J[:, :, j], fd, atol=1e-6), (name, probe)
+
+
+def _bhz_by_hand() -> BlochModel:
+    """bhz_square as a hand-built field with no Jacobian."""
+
+    def field(p, kx, ky):
+        t = p["t1"]
+        h = (t * np.sin(kx), t * np.sin(ky), p["m"] - t * np.cos(kx) - t * np.cos(ky))
+        return np.stack(np.broadcast_arrays(*h), axis=-1)
+
+    return BlochModel("bhz_by_hand", 2, "square", {"t1": 1.0, "m": -1.0}, SQUARE_ZONE, field)
+
+
+@pytest.mark.parametrize("params", [None, {"m": 1.0}, {"t1": 0.87, "m": -1.3}, {"m": 3.0}])
+def test_finite_difference_fallback_matches_table(params):
+    hand, table = _bhz_by_hand(), builtin_model("bhz_square")
+    assert hand.jac12 is None
+    got, want = pre_dirac_points(hand, params), pre_dirac_points(table, params)
+    assert [_seam_key(q.frac) for q in got] == [_seam_key(q.frac) for q in want]
+    for a, b in zip(got, want):
+        assert (a.jac_sign, a.degenerate) == (b.jac_sign, b.degenerate)
+        assert abs(a.h3 - b.h3) < 1e-8
+    assert degree_ray(hand, params).value == degree_ray(table, params).value
 
 
 def test_pre_dirac_requires_two_band_field():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chernkit import phasediag
 from chernkit.models import SQUARE_ZONE, BlochModel, ModelError, builtin_model
 from chernkit.phasediag import (
     DEGENERATE,
@@ -233,6 +234,24 @@ def test_locate_transition_bhz():
     for lo, hi, want in [(-3.0, -1.0, -2.0), (-1.0, 1.0, 0.0), (1.0, 3.0, 2.0)]:
         x = locate_transition(b, "m", lo, hi)
         assert abs(x - want) < 1e-8, (lo, hi)
+
+
+def test_locate_transition_brent_budget(monkeypatch):
+    """After the 65-point pre-scan, Brent needs few pre-Dirac solves."""
+    calls = []
+    original = phasediag.pre_dirac_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(phasediag, "pre_dirac_points", counting)
+    b = builtin_model("bhz_square")
+    for lo, hi, want in [(-0.73, 1.31, 0.0), (1.1, 3.3, 2.0), (-2.9, -1.3, -2.0)]:
+        calls.clear()
+        x = locate_transition(b, "m", lo, hi)
+        assert abs(x - want) < 1e-12, (lo, hi)
+        assert len(calls) <= 85, (lo, hi)
 
 
 def test_locate_transition_kagome_three_band():
