@@ -39,15 +39,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, invariants.ChernResult):
-        return {
-            "value": obj.value,
-            "method": obj.method,
-            "raw": obj.raw,
-            "residual": obj.residual,
-            "grid": list(obj.grid),
-            "band": obj.band,
-            "diagnostics": _jsonable(obj.diagnostics),
-        }
+        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 

@@ -219,8 +219,8 @@ def degree_integral(
 ) -> ChernResult:
     """Mapping degree of h/|h| by midpoint quadrature over the zone.
 
-    The band value is (-1)^(band+1) times the degree; the raw degree and a
-    two-level quadrature history are kept in the diagnostics.
+    The band value is (-1)^(band+1) times the degree; the raw degree and the
+    smallest |h| on the grid are kept in the diagnostics.
     """
     if model.bands != 2 or model.field is None:
         raise MethodInapplicableError("degree_integral requires a 2-band coefficient model")
@@ -229,22 +229,14 @@ def degree_integral(
     N = int(grid)
     if N < 8:
         raise ModelError("grid must be at least 8")
-    history = []
-    for n in (max(8, N // 2), N):
-        deg, nmin = _degree_quadrature(model, params, n)
-        history.append({"grid": n, "degree": deg})
+    deg, nmin = _degree_quadrature(model, params, N)
     sign = -1 if band == 0 else 1
-    raw = sign * history[-1]["degree"]
     return _round_result(
-        raw,
+        sign * deg,
         "degree_integral",
         (N, N),
         band,
-        {
-            "degree_raw": history[-1]["degree"],
-            "history": history,
-            "min_field_norm": nmin,
-        },
+        {"degree_raw": deg, "min_field_norm": nmin},
     )
 
 
@@ -320,10 +312,7 @@ def degree_ray(
     for probe in _ray_perturbations():
         R = _rotation_to_z(probe if np.allclose(ray, [0, 0, 1]) else _compose(probe, ray))
         work = model if np.allclose(R, np.eye(3)) else _rotated_model(model, R)
-        try:
-            pts = pre_dirac_points(work, params, seed_density=seed_density)
-        except ModelError as exc:  # pragma: no cover - defensive
-            raise MethodInapplicableError(str(exc)) from exc
+        pts = pre_dirac_points(work, params, seed_density=seed_density)
         if not pts:
             last_error = RaySelectionError("no pre-Dirac points found for this ray")
             continue

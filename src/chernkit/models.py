@@ -12,12 +12,13 @@ and, per R, complex coefficients over the basis components and the identity.
 The table derives ``field``, ``h0``, the exact Jacobians ``jac`` and ``jac12``,
 and ``gap_slope`` (a bound on how fast any band gap can change with k, which
 lets a phase scan certify a cell's gap from a grid), and gives ``assemble``
-every component in one pass.  Range families come from two rules: :func:`_dilate`
-(k -> (n1 kx, n2 ky): ``scale_model(..., "all")``, the ``_n2`` builtins,
-``spin_ssphere``, ``torus_wind``) and :func:`_hopping` (R -> N R on the
-(h1, h2) terms: ``haldane_n``, ``triangular_n``).  A new
-model is a terms function plus one ``_CATALOG`` entry; a hand-written
-:class:`BlochModel` with its own callbacks works as well.
+every component in one pass.  Range families come from two rules on the terms:
+:func:`_dilated` (R -> (n1 Rx, n2 Ry), the model at k -> (n1 kx, n2 ky):
+``scale_model(..., "all")``, the ``_n2`` builtins, ``spin_ssphere``,
+``torus_wind``) and :func:`_hopping` (R -> N R on the (h1, h2) terms:
+``haldane_n``, ``triangular_n``).  A new model is a terms function plus one
+``_CATALOG`` entry; a hand-written :class:`BlochModel` with its own callbacks
+works as well, but cannot be scaled.
 
 Honeycomb-family coefficient fields are written in the periodic gauge: the
 inter-sublattice amplitude carries a common phase exp(-i N k.a1) so the
@@ -391,30 +392,16 @@ def _square_power(p):
 # ---------------------------------------------------------------------------
 
 
-def _dilate(model: BlochModel, ns: tuple, **changes) -> BlochModel:
-    """The model at k -> (n1 kx, n2 ky): every term's range is stretched and the
-    Jacobian columns scale by n1 and n2.  Each of ``ns`` is an integer or the
-    name of an integer parameter."""
+def _dilated(terms: Callable, ns: tuple) -> Callable:
+    """R -> (n1 Rx, n2 Ry) on every term: the model at k -> (n1 kx, n2 ky).  Each of
+    ``ns`` is an integer or the name of an integer parameter."""
 
-    def factors(p):
-        return [int(p[x]) if isinstance(x, str) else x for x in ns]
+    def scaled(p):
+        R, rows = terms(p)
+        n = [int(p[x]) if isinstance(x, str) else x for x in ns]
+        return np.asarray(R, dtype=float) * n, rows
 
-    def at(fn, columns=False):
-        def stretched(p, kx, ky):
-            n = factors(p)
-            out = fn(p, n[0] * kx, n[1] * ky)
-            return out * n if columns else out
-
-        return None if fn is None else stretched
-
-    def slope(p):
-        return max(abs(n) for n in factors(p)) * model.gap_slope(p)
-
-    stretch = {f: at(getattr(model, f)) for f in ("field", "h0", "matrix_fn")}
-    if model.gap_slope is not None:
-        changes["gap_slope"] = slope
-    jacs = {f: at(getattr(model, f), True) for f in ("jac", "jac12")}
-    return dataclasses.replace(model, **jacs, **stretch, **changes)
+    return scaled
 
 
 def _hopping(terms: Callable) -> Callable:
@@ -437,14 +424,16 @@ _KAGOME = {"t1": 1.0, "u1": 1.0}
 _POWER = {"alpha": 1.0, "beta": 1.0, "gamma1": 0.5, "gamma2": 0.25, "m0": 0.0, "d": 1}
 
 
-def _model(name, terms, lattice, defaults, bands=2, h0=False, **fields) -> BlochModel:
-    table = HoppingTable(terms, h0)
+def _table_fields(table: HoppingTable, bands: int) -> dict:
+    """The model callbacks a table derives; the Jacobians only for 2 bands."""
     jac, jac12 = (table.jac, table.jac12) if bands == 2 else (None, None)
+    return dict(field=table, h0=table.h0, jac12=jac12, jac=jac, gap_slope=table.gap_slope)
+
+
+def _model(name, terms, lattice, defaults, bands=2, h0=False, **fields) -> BlochModel:
     zone = _ZONES.get(lattice, SQUARE_ZONE)
-    return BlochModel(
-        name, bands, lattice, dict(defaults), zone, table, table.h0, jac12,
-        gap_slope=table.gap_slope, jac=jac, **fields
-    )
+    table = _table_fields(HoppingTable(terms, h0), bands)
+    return BlochModel(name, bands, lattice, dict(defaults), zone, **table, **fields)
 
 
 def _haldane(name, defaults=_HALDANE_N, extra=None, terms=_honeycomb, **fields):
@@ -456,21 +445,23 @@ def _triangular_model(name, terms=_triangular, defaults=_HALDANE_N, **fields):
     return _model(name, terms, "triangular", defaults, h0=True, **fields)
 
 
-def _kagome_model(name, defaults):
+def _kagome_model(name, defaults, terms=_kagome):
     gauge = (np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]))
     geometry = {"a": KAGOME_A, "gauge_matrices": gauge}
-    return _model(name, _kagome, "kagome", defaults, 3, geometry=geometry, periodicity="conjugate")
+    return _model(name, terms, "kagome", defaults, 3, geometry=geometry, periodicity="conjugate")
 
+
+_NN = ("N", "N")
 
 _CATALOG: dict[str, Callable[[], BlochModel]] = {
     "haldane": lambda: _haldane("haldane", _HALDANE, {"K": K_POINT}, hopping_family="haldane_n"),
     "haldane3nn": lambda: _haldane("haldane3nn", _HALDANE3NN, extra={"c": HONEYCOMB_C}),
-    "haldane_n2": lambda: _dilate(_haldane("haldane_n2"), ("N", "N")),
+    "haldane_n2": lambda: _haldane("haldane_n2", terms=_dilated(_honeycomb, _NN)),
     "haldane_n": lambda: _haldane("haldane_n", terms=_hopping(_honeycomb)),
     "bhz_square": lambda: _model(
         "bhz_square", _bhz, "square", _BHZ, geometry={"a": np.eye(2)[:1], "b": np.eye(2)[1:]}
     ),
-    "square_n2": lambda: _dilate(_model("square_n2", _bhz, "square", {**_BHZ, "N": 2}), ("N", "N")),
+    "square_n2": lambda: _model("square_n2", _dilated(_bhz, _NN), "square", {**_BHZ, "N": 2}),
     "square_power": lambda: _model("square_power", _square_power, "square", _POWER),
     "triangular": lambda: _triangular_model(
         "triangular",
@@ -478,16 +469,16 @@ _CATALOG: dict[str, Callable[[], BlochModel]] = {
         geometry={"w": TRI_W, "u": TRI_U, "w_signs": TRI_W_SIGNS, "u_signs": TRI_U_SIGNS},
         hopping_family="triangular_n",
     ),
-    "triangular_n2": lambda: _dilate(_triangular_model("triangular_n2"), ("N", "N")),
+    "triangular_n2": lambda: _triangular_model("triangular_n2", _dilated(_triangular, _NN)),
     "triangular_n": lambda: _triangular_model("triangular_n", _hopping(_triangular)),
     "kagome": lambda: _kagome_model("kagome", _KAGOME),
-    "kagome_n2": lambda: _dilate(_kagome_model("kagome_n2", {**_KAGOME, "N": 3}), ("N", "N")),
+    "kagome_n2": lambda: _kagome_model("kagome_n2", {**_KAGOME, "N": 3}, _dilated(_kagome, _NN)),
     "mb_dirac": lambda: _model("mb_dirac", _mb_dirac, "square", {"M": 1.0, "B": 1.0}),
-    "spin_ssphere": lambda: _dilate(
-        _model("spin_ssphere", _collapse, "square", {"d": 1}), ("d", 1)
+    "spin_ssphere": lambda: _model(
+        "spin_ssphere", _dilated(_collapse, ("d", 1)), "square", {"d": 1}
     ),
-    "torus_wind": lambda: _dilate(
-        _model("torus_wind", _collapse, "square", {"d1": 2, "d2": 3}), ("d1", "d2")
+    "torus_wind": lambda: _model(
+        "torus_wind", _dilated(_collapse, ("d1", "d2")), "square", {"d1": 2, "d2": 3}
     ),
 }
 
@@ -541,8 +532,13 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
                 "prime divides it (or the sublattice species do not match), so the "
                 "range-N shell does not replicate the nearest-neighbor structure"
             )
-        name = f"{model.name}_scaled{N}"
-        return _dilate(model, (N, N), name=name, hopping_family=None)
+        if not isinstance(model.field, HoppingTable):
+            raise ModelError(f"model {model.name} is not a hopping table and cannot be scaled")
+        table = HoppingTable(_dilated(model.field.terms, (N, N)), model.field.h0 is not None)
+        return dataclasses.replace(
+            model, name=f"{model.name}_scaled{N}", hopping_family=None,
+            **_table_fields(table, model.bands)
+        )
     if which == "hopping_only":
         if model.hopping_family is None:
             raise ModelError(f"model {model.name} has no hopping-only range family")

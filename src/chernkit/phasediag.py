@@ -27,7 +27,7 @@ from .invariants import (
     sphere_map_degree,
     winding_number,
 )
-from .models import BlochModel, ModelError, _check_gap_band, assemble, pre_dirac_points
+from .models import BlochModel, ModelError, _check_gap_band, assemble, gap, pre_dirac_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,14 +60,11 @@ def minimum_gap(
     gaps = vals[..., band + 1] - vals[..., band]
     idx = np.unravel_index(np.argmin(gaps), gaps.shape)
     x0 = np.array([S[idx], T[idx]])
-
-    def objective(x):
-        k = model.zone.kpoint(x[0], x[1])
-        ev = np.linalg.eigvalsh(assemble(model, p, k))
-        return float(ev[band + 1] - ev[band])
-
     res = optimize.minimize(
-        objective, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12}
+        lambda x: gap(model, p, model.zone.kpoint(x[0], x[1]), band),
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12},
     )
     best = min(float(gaps[idx]), float(res.fun))
     loc = model.zone.kpoint(res.x[0] % 1.0, res.x[1] % 1.0)
@@ -119,11 +116,7 @@ class PhaseDiagram:
     errors: tuple[str, ...] = ()
 
     def cell_at(self, *index) -> Cell:
-        shape = tuple(ax[3] for ax in self.axes)
-        flat = 0
-        for i, n in zip(index, shape):
-            flat = flat * n + i
-        return self.cells[flat]
+        return self.cells[np.ravel_multi_index(index, tuple(ax[3] for ax in self.axes))]
 
     def labels(self) -> np.ndarray:
         shape = tuple(ax[3] for ax in self.axes)
@@ -181,17 +174,17 @@ def scan(
             berry = exc
         try:
             if isinstance(berry, ChernResult) and model.gap_slope is not None:
-                gap = berry.diagnostics["gap_above"]
+                gmin = berry.diagnostics["gap_above"]
                 slope = model.gap_slope(model.params_with_defaults(params))
-                if gap - slope * _covering_radius(model.zone, int(grid)) >= degeneracy_threshold:
+                if gmin - slope * _covering_radius(model.zone, int(grid)) >= degeneracy_threshold:
                     loc = berry.diagnostics["gap_above_k"]
-                    return Cell(index, params, berry.value, gap, loc, certified=True)
-            gap, loc = minimum_gap(model, params, band=band, kgrid=kgrid)
-            if gap < degeneracy_threshold:
-                return Cell(index, params, DEGENERATE, gap, tuple(loc))
+                    return Cell(index, params, berry.value, gmin, loc, certified=True)
+            gmin, loc = minimum_gap(model, params, band=band, kgrid=kgrid)
+            if gmin < degeneracy_threshold:
+                return Cell(index, params, DEGENERATE, gmin, tuple(loc))
             if isinstance(berry, Exception):
                 raise berry
-            return Cell(index, params, berry.value, gap, tuple(loc))
+            return Cell(index, params, berry.value, gmin, tuple(loc))
         except (InvariantError, ModelError) as exc:
             return Cell(
                 index, params, None, float("nan"), (float("nan"),) * 2, error=str(exc)

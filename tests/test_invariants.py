@@ -17,7 +17,7 @@ from chernkit.invariants import (
     sphere_map_degree,
     winding_number,
 )
-from chernkit.models import builtin_model, gap, scale_model
+from chernkit.models import ModelError, builtin_model, gap, scale_model
 
 SQRT3 = math.sqrt(3.0)
 
@@ -249,6 +249,14 @@ def test_degree_integral_rejects_three_band():
         degree_integral(builtin_model("kagome"))
     with pytest.raises(MethodInapplicableError):
         degree_ray(builtin_model("kagome"))
+
+
+@pytest.mark.parametrize("params", [{"bogus": 1.0}, {"m": float("nan")}])
+def test_bad_params_raise_model_error_in_every_engine(params):
+    bhz = builtin_model("bhz_square")
+    for engine in (chern_berry_lattice, degree_integral, degree_ray):
+        with pytest.raises(ModelError):
+            engine(bhz, params)
 
 
 def test_resolution_error_on_underresolved_quadrature():

@@ -504,6 +504,41 @@ def test_scale_all_matches_builtin_haldane_n2(base, builtin):
 
 
 @pytest.mark.parametrize(
+    "base, N",
+    # kagome refuses even N (an even range ends on a site of the same species)
+    [(b, n) for b in ("haldane", "bhz_square", "triangular") for n in (3, -2)]
+    + [("kagome", 3), ("kagome", -3)],
+)
+def test_scale_all_is_base_at_dilated_k(base, N):
+    """scale_model(base, N) at k is base at N k, its (h1, h2) Jacobian N times base's."""
+    h = builtin_model(base)
+    scaled = scale_model(h, N, "all")
+    p = h.params_with_defaults(None)
+    ks = RNG.uniform(-4, 4, (20, 2))
+    kx, ky = ks[:, 0], ks[:, 1]
+    assert np.allclose(scaled.field(p, kx, ky), h.field(p, N * kx, N * ky))
+    assert np.allclose(assemble(scaled, p, ks), assemble(h, p, N * ks))
+    if h.jac12 is not None:
+        assert np.allclose(scaled.jac12(p, kx, ky), N * h.jac12(p, N * kx, N * ky))
+
+
+def test_every_catalog_model_is_a_hopping_table():
+    for name in ALL_MODELS:
+        assert isinstance(builtin_model(name).field, models.HoppingTable), name
+
+
+def test_scale_all_needs_a_hopping_table():
+    bhz = builtin_model("bhz_square")
+    hand_built = BlochModel(
+        "hand", 2, "square", {}, SQUARE_ZONE,
+        field=lambda p, kx, ky: np.zeros(np.shape(kx) + (3,)),
+    )
+    for model in (fold_bands(bhz, 2), hand_built):
+        with pytest.raises(ModelError, match="hopping table"):
+            scale_model(model, 3, "all")
+
+
+@pytest.mark.parametrize(
     "base, builtin", [("haldane", "haldane_n"), ("triangular", "triangular_n")]
 )
 def test_scale_hopping_only_matches_haldane_n(base, builtin):

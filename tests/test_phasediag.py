@@ -112,6 +112,19 @@ def test_haldane_2d_scan_lobes():
                 assert got == 0, (phi, m)
 
 
+def test_cell_at_rejects_bad_index():
+    """On a 3x4 scan an index past an axis or of the wrong length raises."""
+    axes = (("a", 0.0, 1.0, 3), ("b", 0.0, 1.0, 4))
+    cells = tuple(
+        phasediag.Cell(ix, {}, 0, 1.0, (0.0, 0.0)) for ix in np.ndindex(3, 4)
+    )
+    pd = phasediag.PhaseDiagram(axes=axes, cells=cells, boundary=())
+    assert all(pd.cell_at(*ix).index == ix for ix in np.ndindex(3, 4))
+    for bad in ((0, 5), (3, 0), (1,), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            pd.cell_at(*bad)
+
+
 def test_scan_cell_lookup_and_boundary():
     h = builtin_model("haldane")
     pd = scan(h, [("m", 0.0, 4.0, 9)], grid=32, kgrid=24)
