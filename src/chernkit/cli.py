@@ -306,18 +306,18 @@ def _cmd_validate(args) -> int:
     attempts = 0
     while len(reports) < args.points and attempts < 20 * args.points:
         attempts += 1
-        if reports or args.points == 1:
+        if reports:
             trial = {
                 k: (v * float(rng.uniform(0.8, 1.2)) if isinstance(v, float) else v)
                 for k, v in base.items()
             }
         else:
-            trial = dict(base)
+            trial = dict(base)  # the configured point itself comes first
         try:
             rep = invariants.cross_validate(model, trial, band=args.band)
-        except invariants.CrossValidationError:
-            raise
-        except invariants.InvariantError:
+        except invariants.InvariantError as exc:
+            if not reports or isinstance(exc, invariants.CrossValidationError):
+                raise  # a disagreement, or a refusal at the configured point, is the answer
             continue  # degenerate draw; resample
         reports.append({"params": trial, "value": rep["value"], "values": rep["values"]})
     if len(reports) < args.points:

@@ -28,6 +28,9 @@ from .models import BlochModel, ModelError, assemble, pre_dirac_points
 
 TWO_PI = 2.0 * math.pi
 
+#: the Berry engine refuses a band whose gap on the grid is at or below this
+GAP_FLOOR = 1e-8
+
 
 class InvariantError(RuntimeError):
     """Base class for engine failures."""
@@ -96,12 +99,12 @@ class PlanarCurve:
             raise ValueError("closed curve must end where it starts")
 
 
-def _round_result(raw: float, method: str, grid, band, diagnostics, max_residual=0.25):
+def _round_result(raw: float, method: str, grid, band, diagnostics):
     value = int(round(raw))
     residual = abs(raw - value)
-    if residual >= max_residual:
+    if residual >= 0.25:
         raise ResolutionError(
-            f"{method}: raw value {raw:.6f} is not within {max_residual} of an "
+            f"{method}: raw value {raw:.6f} is not within 0.25 of an "
             "integer; refine the grid",
             raw=raw,
         )
@@ -126,7 +129,6 @@ def chern_berry_lattice(
     params: dict | None = None,
     band: int = 0,
     grid: int = 60,
-    gap_floor: float = 1e-8,
     _eigvec_transform=None,
 ) -> ChernResult:
     """Plaquette Chern number of one band on an (N+1)^2 open momentum grid.
@@ -159,10 +161,10 @@ def chern_berry_lattice(
         gaps.append(vals[..., band] - vals[..., band - 1])
     gmin_grid = np.minimum.reduce(gaps)
     gmin = float(gmin_grid.min())
-    if gmin <= gap_floor:
+    if gmin <= GAP_FLOOR:
         idx = np.unravel_index(np.argmin(gmin_grid), gmin_grid.shape)
         raise DegenerateFamilyError(
-            f"band {band} gap {gmin:.3e} <= gap floor {gap_floor:.1e} on the grid",
+            f"band {band} gap {gmin:.3e} <= gap floor {GAP_FLOOR:.1e} on the grid",
             k=K[idx],
         )
 
@@ -246,13 +248,13 @@ def degree_integral(
 
 
 def _rotation_to_z(ray: np.ndarray) -> np.ndarray:
-    """Rotation matrix R with R @ ray = +z (Rodrigues construction)."""
+    """Rotation matrix R with R @ ray = +z for a unit ray near +z (Rodrigues construction)."""
     z = np.array([0.0, 0.0, 1.0])
     v = np.cross(ray, z)
     c = float(ray @ z)
     s = np.linalg.norm(v)
     if s < 1e-15:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
+        return np.eye(3)
     vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
     return np.eye(3) + vx + vx @ vx * ((1 - c) / (s * s))
 
@@ -286,7 +288,6 @@ def _ray_perturbations():
 def degree_ray(
     model: BlochModel,
     params: dict | None = None,
-    ray=(0.0, 0.0, 1.0),
     band: int = 0,
     seed_density: int = 48,
 ) -> ChernResult:
@@ -294,23 +295,18 @@ def degree_ray(
 
     For the +z ray: deg = sum over pre-Dirac points with h3 > 0 of
     sgn det d(h1,h2)/dk.  The half-sum over *all* pre-Dirac points of
-    sgn(J) sgn(h3) is computed as well and must agree.  Rays hitting a
-    degenerate pre-image are retried along a deterministic perturbation
-    spiral before giving up.
+    sgn(J) sgn(h3) is computed as well and must agree.  A ray hitting a
+    degenerate pre-image is retried along a deterministic perturbation spiral
+    about +z; ``diagnostics["ray"]`` is the ray that was used.
     """
     if model.bands != 2 or model.field is None:
         raise MethodInapplicableError("degree_ray requires a 2-band coefficient model")
     if not 0 <= band <= 1:
         raise ModelError("band must be 0 or 1")
-    ray = np.asarray(ray, dtype=float)
-    nr = np.linalg.norm(ray)
-    if nr < 1e-12:
-        raise ModelError("ray must be a nonzero vector")
-    ray = ray / nr
 
     last_error: Exception | None = None
     for probe in _ray_perturbations():
-        R = _rotation_to_z(probe if np.allclose(ray, [0, 0, 1]) else _compose(probe, ray))
+        R = _rotation_to_z(probe)
         work = model if np.allclose(R, np.eye(3)) else _rotated_model(model, R)
         pts = pre_dirac_points(work, params, seed_density=seed_density)
         if not pts:
@@ -347,7 +343,7 @@ def degree_ray(
             diagnostics={
                 "degree_raw": deg,
                 "half_sum": half,
-                "ray": probe if np.allclose(ray, [0, 0, 1]) else ray,
+                "ray": probe,
                 "pre_dirac": [
                     {
                         "k": p.k.tolist(),
@@ -366,27 +362,18 @@ def degree_ray(
     )
 
 
-def _compose(probe: np.ndarray, ray: np.ndarray) -> np.ndarray:
-    """Perturb a general ray the same way the +z spiral perturbs +z."""
-    Rz = _rotation_to_z(ray)
-    return np.linalg.solve(Rz, probe)
-
-
 # ---------------------------------------------------------------------------
 # winding numbers and sphere-map degrees
 # ---------------------------------------------------------------------------
 
 
-def winding_number(curve: PlanarCurve, origin=(0.0, 0.0)) -> int:
-    """Classical winding number of a closed planar curve about a point."""
+def winding_number(curve: PlanarCurve) -> int:
+    """Classical winding number of a closed planar curve about the origin."""
     if not curve.closed:
         raise ValueError("winding_number requires a closed curve")
-    origin = np.asarray(origin, dtype=float)
-    z = curve.points - origin
-    r = np.hypot(z[:, 0], z[:, 1])
-    if r.min() < 1e-12:
+    w = curve.points[:, 0] + 1j * curve.points[:, 1]
+    if np.abs(w).min() < 1e-12:
         raise ValueError("origin lies on the curve")
-    w = z[:, 0] + 1j * z[:, 1]
     inc = np.angle(w[1:] / w[:-1])
     total = inc.sum() / TWO_PI
     value = int(round(total))
@@ -395,13 +382,14 @@ def winding_number(curve: PlanarCurve, origin=(0.0, 0.0)) -> int:
     return value
 
 
-def sphere_map_degree(fn, nphi: int = 400, ntheta: int = 200) -> float:
+def sphere_map_degree(fn) -> float:
     """Degree of a map (phi, theta) -> R^3 \\ {0} on the standard sphere chart.
 
-    ``fn(phi, theta)`` must broadcast; phi in [0, 2pi) periodic, theta in
-    (0, pi) sampled at midpoints.  Normalized so that the identity embedding
-    (sin t cos p, sin t sin p, cos t) has degree +1.
+    ``fn(phi, theta)`` must broadcast; it is sampled on a 400 x 200 grid, phi
+    in [0, 2pi) periodic and theta in (0, pi) at midpoints.  Normalized so
+    that the identity embedding (sin t cos p, sin t sin p, cos t) has degree +1.
     """
+    nphi, ntheta = 400, 200
     phi = (np.arange(nphi) + 0.5) * (TWO_PI / nphi)
     theta = (np.arange(ntheta) + 0.5) * (math.pi / ntheta)
     P, T = np.meshgrid(phi, theta, indexing="ij")

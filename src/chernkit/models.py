@@ -373,7 +373,7 @@ def _collapse(p):
 def _square_power(p):
     """h1 + i h2 = (alpha cos kx + i beta cos ky)^d for integer d >= 0, expanded with
     cos^n x = 2^-n sum_l C(n, l) e^{i(n - 2l)x}; h3 = m0 + gamma1 sin kx + gamma2 sin ky."""
-    d = int(p["d"])
+    d = _integer(p, "d")
     if d < 0:
         raise ModelError(f"square_power needs an integer power d >= 0, got {p['d']}")
     R = [_SQUARE_R]
@@ -392,13 +392,20 @@ def _square_power(p):
 # ---------------------------------------------------------------------------
 
 
+def _integer(p: dict, name: str) -> int:
+    """Parameter ``name`` as an int: 2.0 is accepted, 2.5 refused rather than truncated."""
+    if not float(p[name]).is_integer():
+        raise ModelError(f"parameter {name} must be an integer, got {p[name]!r}")
+    return int(p[name])
+
+
 def _dilated(terms: Callable, ns: tuple) -> Callable:
     """R -> (n1 Rx, n2 Ry) on every term: the model at k -> (n1 kx, n2 ky).  Each of
     ``ns`` is an integer or the name of an integer parameter."""
 
     def scaled(p):
         R, rows = terms(p)
-        n = [int(p[x]) if isinstance(x, str) else x for x in ns]
+        n = [_integer(p, x) if isinstance(x, str) else x for x in ns]
         return np.asarray(R, dtype=float) * n, rows
 
     return scaled
@@ -410,7 +417,7 @@ def _hopping(terms: Callable) -> Callable:
     def scaled(p):
         R, rows = terms(p)
         C = np.asarray(rows, dtype=complex)
-        return np.where(C[:, :2].any(axis=1)[:, None], int(p["N"]) * R, R), C
+        return np.where(C[:, :2].any(axis=1)[:, None], _integer(p, "N") * R, R), C
 
     return scaled
 
@@ -610,9 +617,10 @@ class PreDiracPoint:
     degenerate: bool
 
 
-def _fd_jac12(model, p, kx, ky, eps=1e-7) -> np.ndarray:
+def _fd_jac12(model, p, kx, ky) -> np.ndarray:
     """Central-difference d(h1, h2)/d(kx, ky) at 1-D arrays of k, shape (n, 2, 2),
     from one field call on the four shifted copies of the points."""
+    eps = 1e-7
     X = np.concatenate([kx + eps, kx - eps, kx, kx])
     Y = np.concatenate([ky, ky, ky + eps, ky - eps])
     h = model.field(p, X, Y)[:, :2].reshape(4, len(kx), 2)
@@ -623,7 +631,6 @@ def pre_dirac_points(
     model: BlochModel,
     params: dict | None = None,
     seed_density: int = 48,
-    tol: float = 1e-10,
 ) -> list[PreDiracPoint]:
     """All zeros of (h1, h2) on the zone, Newton-refined from a dense seed grid.
 
@@ -654,7 +661,7 @@ def pre_dirac_points(
     alive = np.arange(len(k))
     for _ in range(60):
         f = model.field(p, k[alive, 0], k[alive, 1])[:, :2]
-        done = np.hypot(f[:, 0], f[:, 1]) < tol
+        done = np.hypot(f[:, 0], f[:, 1]) < 1e-10
         converged[alive[done]] = True
         alive, f = alive[~done], f[~done]
         if not alive.size:

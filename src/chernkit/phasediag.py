@@ -34,7 +34,6 @@ TWO_PI = 2.0 * math.pi
 #: label used for cells whose refined minimum gap is below the threshold
 DEGENERATE = "DEGENERATE"
 
-
 # ---------------------------------------------------------------------------
 # gap scanning
 # ---------------------------------------------------------------------------
@@ -221,13 +220,13 @@ def locate_transition(
     hi: float,
     params: dict | None = None,
     band: int = 0,
-    tol: float = 1e-9,
 ) -> float:
     """Parameter value in [lo, hi] where the gap above ``band`` closes.
 
     Two-band models find the root of h3 at the pre-Dirac point of minimal |h3|
-    by Brent's method (exact up to ``tol``); multi-band models use bounded
-    minimization of the refined minimum gap.
+    by Brent's method; multi-band models use bounded minimization of the
+    refined minimum gap.  Both locate it to 1e-9 and raise :class:`ModelError`
+    when the gap does not close on the bracket (multi-band: not below 1e-6).
     """
     _check_gap_band(model, band)
     base = model.params_with_defaults(params)
@@ -258,15 +257,17 @@ def locate_transition(
             raise ModelError(
                 f"no sign change of the gap indicator on [{lo}, {hi}]"
             )
-        return float(optimize.brentq(indicator, a, b, xtol=tol))
+        return float(optimize.brentq(indicator, a, b, xtol=1e-9))
 
     def gap_of(x):
         return minimum_gap(model, {**base, axis: float(x)}, band=band)[0]
 
     res = optimize.minimize_scalar(
         gap_of, bounds=(float(lo), float(hi)), method="bounded",
-        options={"xatol": tol},
+        options={"xatol": 1e-9},
     )
+    if res.fun >= 1e-6:  # the default degeneracy_threshold of scan
+        raise ModelError(f"the gap does not close on [{lo}, {hi}] (least gap {res.fun:.3e})")
     return float(res.x)
 
 
@@ -303,8 +304,8 @@ class WallFamily:
             self.dprime, phi, theta
         )
 
-    def min_norm(self, t, nphi: int = 180, ntheta: int = 91) -> float:
-        return _min_norm_on_sphere(lambda P, T: self(t, P, T), nphi, ntheta)
+    def min_norm(self, t) -> float:
+        return _min_norm_on_sphere(lambda P, T: self(t, P, T), 180, 91)
 
 
 def _min_norm_on_sphere(fn, nphi: int, ntheta: int) -> float:
@@ -497,18 +498,16 @@ class FanFamily:
             labels[i], phi, theta
         )
 
-    def min_norm(self, p, nphi: int = 240, ntheta: int = 121) -> float:
-        return _min_norm_on_sphere(lambda P, T: self(p, P, T), nphi, ntheta)
+    def min_norm(self, p) -> float:
+        return _min_norm_on_sphere(lambda P, T: self(p, P, T), 240, 121)
 
 
 def fan_family(fan: FanDiagram) -> FanFamily:
     return FanFamily(fan)
 
 
-def verify_realization(
-    fan: FanDiagram, family: FanFamily | None = None, probe_radius: float = 1.0
-) -> dict:
-    """Check that the family realizes the fan.
+def verify_realization(fan: FanDiagram, probe_radius: float = 1.0) -> dict:
+    """Check that :func:`fan_family` realizes the fan.
 
     One probe per chamber (at the angular bisector, radius ``probe_radius``)
     must reproduce the chamber label as the degree of the normalized sphere
@@ -517,7 +516,7 @@ def verify_realization(
     """
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
-    family = family or fan_family(fan)
+    family = fan_family(fan)
     k = fan.k
     chambers = []
     passed = True

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from sympy import factorint, isprime
-
 HEEGNER_UFD = frozenset({1, 2, 3, 7, 11, 19, 43, 67, 163})
 
 #: elements with norm above this are refused by shell_enumerate
@@ -38,8 +36,14 @@ class PrimeBehavior(Enum):
     RAMIFIED = "ramified"
 
 
+def _factorint(n: int) -> dict[int, int]:
+    # imported on first use: only ring arithmetic needs sympy, and it is slow to import
+    from sympy import factorint
+    return factorint(n)
+
+
 def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorint(n).values())
+    return all(e == 1 for e in _factorint(n).values())
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ def classify_prime(ring: QuadraticRing, p: int) -> PrimeBehavior:
     of -d mod p.  p = 2: ramified iff 2 | discriminant, otherwise split for
     d = 7 (mod 8) and inert for d = 3 (mod 8).
     """
-    if not isinstance(p, int) or p < 2 or not isprime(p):
+    if not isinstance(p, int) or p < 2 or _factorint(p) != {p: 1}:
         raise RingError(f"p must be a rational prime, got {p!r}")
     d = ring.d
     if p == 2:
@@ -219,7 +223,7 @@ def is_isolated_norm(ring: QuadraticRing, n: int) -> bool:
         raise RingError("n must be positive")
     if not ring.ufd:
         return shell_enumerate(ring, n).isolated
-    for p, e in factorint(n).items():
+    for p, e in _factorint(n).items():
         behavior = classify_prime(ring, p)
         if behavior is PrimeBehavior.SPLIT:
             return False
@@ -237,7 +241,7 @@ def isolated_norm_advisory(ring: QuadraticRing, n: int) -> bool:
     """
     if n < 1:
         raise RingError("n must be positive")
-    for p, e in factorint(n).items():
+    for p, e in _factorint(n).items():
         behavior = classify_prime(ring, p)
         if behavior is PrimeBehavior.SPLIT:
             return False
@@ -257,14 +261,14 @@ def square_admissible(N: int) -> bool:
     """No split prime (p = 1 mod 4) may divide the hopping range."""
     if N == 0:
         return False
-    return all(p % 4 != 1 for p in factorint(abs(N)))
+    return all(p % 4 != 1 for p in _factorint(abs(N)))
 
 
 def triangular_admissible(N: int) -> bool:
     """No split prime (p = 1 mod 3) may divide the hopping range."""
     if N == 0:
         return False
-    return all(p % 3 != 1 for p in factorint(abs(N)))
+    return all(p % 3 != 1 for p in _factorint(abs(N)))
 
 
 def honeycomb_admissible(N: int) -> bool:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from chernkit import __version__
+from chernkit import __version__, invariants
 from chernkit.cli import run
 
 HALDANE = '{"model": "haldane"}'
@@ -360,6 +360,33 @@ def test_validate_default_point(capsys):
     data = json.loads(out)
     assert data["passed"]
     assert data["points"][0]["value"] == 1
+
+
+def test_validate_checks_the_configured_point(capsys):
+    cfg = '{"model": "bhz_square", "params": {"m": -1.0}}'
+    code, out, _ = _run(capsys, "validate", "--model-config", cfg)
+    assert code == 0
+    (point,) = json.loads(out)["points"]
+    assert point["params"] == {"t1": 1.0, "m": -1.0}
+    assert point["value"] == -1
+
+
+@pytest.mark.parametrize("points", ["1", "3"])
+def test_validate_degenerate_configured_point_exits_3(capsys, monkeypatch, points):
+    """bhz at m = 0 is gapless: the engine's error is reported without resampling."""
+    calls = []
+    original = invariants.cross_validate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "cross_validate", counting)
+    cfg = '{"model": "bhz_square", "params": {"m": 0.0}}'
+    code, _, err = _run(capsys, "validate", "--model-config", cfg, "--points", points)
+    assert code == 3
+    assert json.loads(err)["kind"] == "DegenerateFamilyError"
+    assert len(calls) == 1
 
 
 def test_validate_deterministic(capsys):

@@ -269,6 +269,27 @@ def test_square_power_rejects_negative_degree():
         eval_field(builtin_model("square_power"), {"d": -1}, (math.pi / 2, math.pi / 2))
 
 
+@pytest.mark.parametrize(
+    "name, param, value",
+    [
+        ("haldane_n", "N", 2.7),
+        ("torus_wind", "d1", 2.5),
+        ("square_power", "d", 1.5),
+        ("square_n2", "N", 3.2),
+        ("spin_ssphere", "d", 0.5),
+    ],
+)
+def test_fractional_integer_params_are_refused(name, param, value):
+    """A range or power with a fractional part raises instead of being truncated;
+    the same value as an integral float, as a scan passes it, is accepted."""
+    model = builtin_model(name)
+    k = (0.3, 0.7)
+    with pytest.raises(ModelError, match="must be an integer"):
+        eval_field(model, {param: value}, k)
+    integral = float(model.defaults[param])
+    assert np.array_equal(eval_field(model, {param: integral}, k), eval_field(model, None, k))
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------

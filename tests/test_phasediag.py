@@ -216,6 +216,13 @@ def test_model_without_gap_slope_refines_every_cell():
     assert pd.boundary == builtin.boundary
 
 
+def test_scan_refuses_fractional_power():
+    pd = scan(builtin_model("square_power"), [("d", 0.0, 3.0, 7)])
+    assert [c.params["d"] for c in pd.cells if c.error] == [0.5, 1.5, 2.5]
+    assert all("must be an integer" in c.error for c in pd.cells if c.error)
+    assert all(isinstance(c.chern, int) for c in pd.cells[::2])
+
+
 def test_band_outside_gap_range_raises_model_error():
     with pytest.raises(ModelError):
         scan(builtin_model("bhz_square"), [("m", -1.0, 1.0, 3)], band=1)
@@ -277,6 +284,12 @@ def test_locate_transition_requires_sign_change():
     h = builtin_model("haldane")
     with pytest.raises(ModelError):
         locate_transition(h, "m", 0.0, 1.0)
+
+
+def test_locate_transition_multiband_refuses_open_gap():
+    """The least gap of kagome on [0.5, 1.5] is about 0.8, at the bracket's end."""
+    with pytest.raises(ModelError, match="does not close"):
+        locate_transition(builtin_model("kagome"), "u1", 0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------

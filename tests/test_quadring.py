@@ -1,11 +1,16 @@
 """Tests for quadratic-ring arithmetic and lattice shell classification."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint, isprime
 
+import chernkit
 from chernkit import quadring
 from chernkit.quadring import (
     CapacityError,
@@ -378,3 +383,22 @@ def test_site_kind_matches_admissibility_parity():
     # kagome extension needs an opposite-species endpoint, i.e. odd N
     for N in range(1, 20):
         assert (kagome_site_kind(N) == "B") == (N % 2 == 1)
+
+
+def test_sympy_is_imported_only_by_ring_arithmetic():
+    """Engines, scans and fans run without sympy; the ring arithmetic loads it."""
+    script = """
+import sys
+import chernkit as ck
+ck.cross_validate(ck.builtin_model("haldane"))
+ck.scan(ck.builtin_model("bhz_square"), [("m", -1.0, 1.0, 3)])
+assert ck.verify_realization(ck.FanDiagram(k=3, labels=(0, 1, 2)))["passed"]
+assert "sympy" not in sys.modules, "sympy was imported"
+assert ck.make_ring(5).discriminant == -20
+"""
+    src = str(Path(chernkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
