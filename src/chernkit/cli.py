@@ -73,7 +73,7 @@ def _load_model_config(spec: str):
         if not isinstance(params, dict):
             raise CliError('"params" must be an object')
         if "N" in cfg and cfg["N"] is not None:
-            model = models.scale_model(model, int(cfg["N"]), cfg.get("variant", "all"))
+            model = models.scale_model(model, cfg["N"], cfg.get("variant", "all"))
         model.params_with_defaults(params)
     except models.ModelError as exc:
         raise CliError(str(exc)) from exc
@@ -299,6 +299,8 @@ def _cmd_fan(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.points < 1:
+        raise CliError(f"--points must be at least 1, got {args.points}")
     model, params = _load_model_config(args.model_config)
     rng = np.random.default_rng(args.seed)
     base = model.params_with_defaults(params)
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scan", help="phase-diagram scan over 1 or 2 parameters")
     sc.add_argument("--model-config", required=True)
     sc.add_argument("--axis", action="append", required=True, help="name:lo:hi:n")
-    sc.add_argument("--threshold", type=float, default=1e-6)
+    sc.add_argument("--threshold", type=float, default=phasediag.DEGENERACY_THRESHOLD)
     sc.add_argument("--band", type=int, default=0)
     sc.add_argument("--grid", default="40")
     sc.add_argument("--out", default=None, help="CSV path (default stdout)")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -508,7 +509,7 @@ def builtin_model(name: str) -> BlochModel:
 _ADMISSIBLE_ALL = {
     "square": quadring.square_admissible,
     "triangular": quadring.triangular_admissible,
-    "honeycomb": lambda N: quadring.triangular_admissible(abs(N)),
+    "honeycomb": quadring.triangular_admissible,
     "kagome": quadring.kagome_admissible,
 }
 
@@ -526,8 +527,8 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
     families) and is available for models that declare a hopping family.
     Inadmissible N is rejected with the number-theoretic reason.
     """
-    if N == 0 or int(N) != N:
-        raise ModelError("N must be a nonzero integer")
+    if isinstance(N, bool) or not isinstance(N, numbers.Real) or N == 0 or N % 1 != 0:
+        raise ModelError(f"N must be a nonzero integer, got {N!r}")
     N = int(N)
     if which == "all":
         check = _ADMISSIBLE_ALL.get(model.lattice)

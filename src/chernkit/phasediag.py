@@ -34,6 +34,9 @@ TWO_PI = 2.0 * math.pi
 #: label used for cells whose refined minimum gap is below the threshold
 DEGENERATE = "DEGENERATE"
 
+#: gap below which a cell is DEGENERATE and a transition counts as found
+DEGENERACY_THRESHOLD = 1e-6
+
 # ---------------------------------------------------------------------------
 # gap scanning
 # ---------------------------------------------------------------------------
@@ -135,7 +138,7 @@ def _axis_values(axis):
 def scan(
     model: BlochModel,
     axes,
-    degeneracy_threshold: float = 1e-6,
+    degeneracy_threshold: float = DEGENERACY_THRESHOLD,
     band: int = 0,
     grid: int = 40,
     kgrid: int = 32,
@@ -226,7 +229,8 @@ def locate_transition(
     Two-band models find the root of h3 at the pre-Dirac point of minimal |h3|
     by Brent's method; multi-band models use bounded minimization of the
     refined minimum gap.  Both locate it to 1e-9 and raise :class:`ModelError`
-    when the gap does not close on the bracket (multi-band: not below 1e-6).
+    when the gap does not close on the bracket (multi-band: not below
+    ``DEGENERACY_THRESHOLD``).
     """
     _check_gap_band(model, band)
     base = model.params_with_defaults(params)
@@ -266,7 +270,7 @@ def locate_transition(
         gap_of, bounds=(float(lo), float(hi)), method="bounded",
         options={"xatol": 1e-9},
     )
-    if res.fun >= 1e-6:  # the default degeneracy_threshold of scan
+    if res.fun >= DEGENERACY_THRESHOLD:
         raise ModelError(f"the gap does not close on [{lo}, {hi}] (least gap {res.fun:.3e})")
     return float(res.x)
 

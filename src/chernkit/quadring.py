@@ -1,12 +1,13 @@
 """Arithmetic and shell classification in imaginary quadratic integer rings.
 
-The ring of integers of Q(sqrt(-d)) is Z[omega] with omega = (-1 + i sqrt(d))/2
-when d = 3 (mod 4) ("half basis") and omega = i sqrt(d) otherwise.  Elements are
-stored as integer pairs (a, b) meaning a + b*omega.  The norm is the squared
-Euclidean length of the planar embedding, which makes shells of constant norm
-the same thing as shells of lattice points at a fixed distance -- the object
-used to decide which higher-neighbor hopping ranges of a square/triangular/
-honeycomb/kagome lattice reproduce the nearest-neighbor structure.
+The ring of integers of Q(sqrt(-d)) is Z[omega], omega = (-t + i sqrt(-D))/2,
+with discriminant D = t^2 - 4c and t = 1 when d = 3 (mod 4), else 0.  Elements
+are integer pairs (a, b) meaning a + b*omega, of norm a^2 - t ab + c b^2: the
+squared Euclidean length of the planar embedding, which makes shells of
+constant norm the same thing as shells of lattice points at a fixed distance
+-- the object used to decide which higher-neighbor hopping ranges of a
+square/triangular/honeycomb/kagome lattice reproduce the nearest-neighbor
+structure.
 """
 
 from __future__ import annotations
@@ -56,32 +57,31 @@ class QuadraticRing:
     ufd: bool
 
     @property
+    def _form(self) -> tuple[int, int]:
+        """(t, c) of the norm form a^2 - t ab + c b^2."""
+        t = int(self.half_basis)
+        return t, (t - self.discriminant) // 4
+
+    @property
     def omega(self) -> complex:
-        if self.half_basis:
-            return complex(-0.5, math.sqrt(self.d) / 2.0)
-        return complex(0.0, math.sqrt(self.d))
+        return complex(-self._form[0] / 2.0, math.sqrt(-self.discriminant) / 2.0)
 
     # -- exact integer arithmetic on (a, b) pairs --------------------------
 
     def norm(self, a: int, b: int) -> int:
-        if self.half_basis:
-            return a * a - a * b + b * b * (1 + self.d) // 4
-        return a * a + self.d * b * b
+        t, c = self._form
+        return a * a - t * a * b + c * b * b
 
     def conj(self, a: int, b: int) -> tuple[int, int]:
-        # conj(omega) = -1 - omega in the half basis, -omega otherwise
-        if self.half_basis:
-            return (a - b, -b)
-        return (a, -b)
+        # conj(omega) = -t - omega
+        return (a - self._form[0] * b, -b)
 
     def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        # omega^2 = -t omega - c
         a, b = x
         e, f = y
-        if self.half_basis:
-            # omega^2 = -omega - (1+d)/4
-            c = (1 + self.d) // 4
-            return (a * e - b * f * c, a * f + b * e - b * f)
-        return (a * e - self.d * b * f, a * f + b * e)
+        t, c = self._form
+        return (a * e - c * b * f, a * f + b * e - t * b * f)
 
     def embed(self, a: int, b: int) -> complex:
         return a + b * self.omega
@@ -134,24 +134,24 @@ def norm_of(ring: QuadraticRing, z: RingElement | tuple[int, int]) -> int:
     return ring.norm(*z)
 
 
+def _kronecker_is_one(D: int, p: int) -> bool:
+    """Whether the Kronecker symbol (D/p) is 1, for a prime p not dividing D."""
+    if p == 2:
+        return D % 8 == 1
+    return pow(D, (p - 1) // 2, p) == 1  # Euler's criterion
+
+
 def classify_prime(ring: QuadraticRing, p: int) -> PrimeBehavior:
     """Behavior of the rational prime p in the ring.
 
-    Odd p: ramified iff p | d, otherwise split/inert by the Legendre symbol
-    of -d mod p.  p = 2: ramified iff 2 | discriminant, otherwise split for
-    d = 7 (mod 8) and inert for d = 3 (mod 8).
+    p ramifies iff it divides the discriminant D; otherwise it splits iff the
+    Kronecker symbol (D/p) is 1 and stays inert iff it is -1.
     """
     if not isinstance(p, int) or p < 2 or _factorint(p) != {p: 1}:
         raise RingError(f"p must be a rational prime, got {p!r}")
-    d = ring.d
-    if p == 2:
-        if ring.discriminant % 2 == 0:
-            return PrimeBehavior.RAMIFIED
-        return PrimeBehavior.SPLIT if d % 8 == 7 else PrimeBehavior.INERT
-    if d % p == 0:
+    if ring.discriminant % p == 0:
         return PrimeBehavior.RAMIFIED
-    ls = pow(-d % p, (p - 1) // 2, p)  # Euler's criterion
-    return PrimeBehavior.SPLIT if ls == 1 else PrimeBehavior.INERT
+    return PrimeBehavior.SPLIT if _kronecker_is_one(ring.discriminant, p) else PrimeBehavior.INERT
 
 
 @dataclass(frozen=True)
@@ -169,67 +169,47 @@ class Shell:
         return math.sqrt(self.n)
 
 
-def shell_enumerate(ring: QuadraticRing, n: int) -> Shell:
-    """Exhaustively list elements of norm n (positive-definite form bound)."""
+def _check_norm(n: int) -> None:
     if n < 0:
         raise RingError("n must be non-negative")
     if n > ENUMERATION_BOUND:
         raise CapacityError(f"norm {n} exceeds enumeration bound {ENUMERATION_BOUND}")
-    d = ring.d
-    pts: list[tuple[int, int]] = []
-    if ring.half_basis:
-        # N(a+b*omega) = (a - b/2)^2 + d b^2/4  =>  |b| <= sqrt(4n/d)
-        bmax = math.isqrt(4 * n // d)
-        c = (1 + d) // 4
-        for b in range(-bmax, bmax + 1):
-            # a^2 - a b + (c b^2 - n) = 0
-            disc = b * b - 4 * (c * b * b - n)
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
-            for a2 in {b + r, b - r}:
-                if a2 % 2 == 0:
-                    pts.append((a2 // 2, b))
-    else:
-        bmax = math.isqrt(n // d)
-        for b in range(-bmax, bmax + 1):
-            a2 = n - d * b * b
-            r = math.isqrt(a2)
-            if r * r != a2:
-                continue
-            pts.append((r, b))
-            if r != 0:
-                pts.append((-r, b))
-    points = tuple(sorted(set(pts)))
-    represented = bool(points)
-    if n == 1:
-        nunits = len(points)
-    else:
-        nunits = len(shell_enumerate(ring, 1).points)
-    isolated = represented and len(points) == nunits
-    return Shell(ring=ring, n=n, points=points, represented=represented, isolated=isolated)
+
+
+def shell_enumerate(ring: QuadraticRing, n: int) -> Shell:
+    """Exhaustively list elements of norm n (positive-definite form bound)."""
+    _check_norm(n)
+    t, D = ring._form[0], ring.discriminant
+    pts = []
+    # 4 N(a + b omega) = (2a - t b)^2 - D b^2  =>  |b| <= sqrt(4n / -D)
+    n4 = 4 * n
+    bmax = math.isqrt(n4 // -D)
+    for b in range(-bmax, bmax + 1):
+        disc = n4 + D * b * b
+        r = math.isqrt(disc)
+        if r * r != disc:
+            continue
+        for a2 in {t * b + r, t * b - r}:
+            if a2 % 2 == 0:
+                pts.append((a2 // 2, b))
+    points = tuple(sorted(pts))
+    # the unit group has 4 elements for D = -4, 6 for D = -3 and 2 otherwise
+    return Shell(ring=ring, n=n, points=points, represented=bool(points),
+                 isolated=len(points) == {-4: 4, -3: 6}.get(D, 2))
 
 
 def is_isolated_norm(ring: QuadraticRing, n: int) -> bool:
     """Whether every element of norm n is an associate of a single element.
 
-    For UFD rings this is decided arithmetically: n may contain no split prime,
-    and inert primes only to even powers (ramified primes are unrestricted).
-    For non-UFD rings only brute-force enumeration is authoritative.
+    For UFD rings this is decided arithmetically by the advisory condition,
+    which is exact there: every ramified prime is the norm of its prime
+    element.  For non-UFD rings only brute-force enumeration is authoritative.
     """
     if n < 1:
         raise RingError("n must be positive")
     if not ring.ufd:
         return shell_enumerate(ring, n).isolated
-    for p, e in _factorint(n).items():
-        behavior = classify_prime(ring, p)
-        if behavior is PrimeBehavior.SPLIT:
-            return False
-        if behavior is PrimeBehavior.INERT and e % 2 == 1:
-            return False
-    return True
+    return isolated_norm_advisory(ring, n)
 
 
 def isolated_norm_advisory(ring: QuadraticRing, n: int) -> bool:
@@ -257,18 +237,22 @@ def isolated_norm_advisory(ring: QuadraticRing, n: int) -> bool:
 _LATTICE_RING = {"square": 1, "triangular": 3}
 
 
-def square_admissible(N: int) -> bool:
-    """No split prime (p = 1 mod 4) may divide the hopping range."""
+def _split_free(lattice: str, N: int) -> bool:
+    """No prime that splits in the lattice's ring may divide the range N."""
     if N == 0:
         return False
-    return all(p % 4 != 1 for p in _factorint(abs(N)))
+    ring = make_ring(_LATTICE_RING[lattice])
+    return all(classify_prime(ring, p) is not PrimeBehavior.SPLIT for p in _factorint(abs(N)))
+
+
+def square_admissible(N: int) -> bool:
+    """No prime that splits in the Gaussian integers may divide the hopping range."""
+    return _split_free("square", N)
 
 
 def triangular_admissible(N: int) -> bool:
-    """No split prime (p = 1 mod 3) may divide the hopping range."""
-    if N == 0:
-        return False
-    return all(p % 3 != 1 for p in _factorint(abs(N)))
+    """No prime that splits in the Eisenstein integers may divide the hopping range."""
+    return _split_free("triangular", N)
 
 
 def honeycomb_admissible(N: int) -> bool:
@@ -308,15 +292,17 @@ def kagome_site_kind(N: int) -> str:
     return "B" if N % 2 else "A"
 
 
-def _shell_record(ring: QuadraticRing, units: tuple, N: int) -> dict:
-    sh = shell_enumerate(ring, N * N)
-    dilated = {(N * a, N * b) for (a, b) in units}
-    return {
-        "N": N,
-        "shell_size": len(sh.points),
-        "aligned": set(sh.points) == dilated,
-        "unit_count": len(units),
-    }
+def _shells(lattice: str, limit: float):
+    """(N, size, unit count, whether it dilates the unit shell) of the norm-N^2 shells."""
+    if lattice not in _LATTICE_RING:
+        raise RingError(f"unknown lattice {lattice!r}; expected square or triangular")
+    top = max(int(limit), 0)
+    _check_norm(min(top, math.isqrt(ENUMERATION_BOUND) + 1) ** 2)  # before any enumeration
+    ring = make_ring(_LATTICE_RING[lattice])
+    units = ring.units()
+    for N in range(1, top + 1):
+        pts = shell_enumerate(ring, N * N).points
+        yield N, len(pts), len(units), set(pts) == {(N * a, N * b) for (a, b) in units}
 
 
 def commensurate_distances(
@@ -330,31 +316,14 @@ def commensurate_distances(
     """
     if limit < 1:
         raise RingError("limit must be >= 1")
-    if lattice not in _LATTICE_RING:
-        raise RingError(f"unknown lattice {lattice!r}; expected square or triangular")
-    ring = make_ring(_LATTICE_RING[lattice])
-    units = ring.units()
-    out = []
-    for N in range(1, int(limit) + 1):
-        rec = _shell_record(ring, units, N)
-        if rec["shell_size"] != rec["unit_count"]:
-            continue
-        if rec["aligned"] or rotated:
-            out.append(N)
-    return out
+    return [N for N, size, nunits, aligned in _shells(lattice, limit)
+            if size == nunits and (aligned or rotated)]
 
 
 def distance_report(lattice: str, limit: float) -> list[dict]:
     """Per-distance diagnostics: shell size, alignment, and the prime criterion."""
-    if lattice not in _LATTICE_RING:
-        raise RingError(f"unknown lattice {lattice!r}; expected square or triangular")
-    ring = make_ring(_LATTICE_RING[lattice])
-    units = ring.units()
-    nt = square_admissible if lattice == "square" else triangular_admissible
-    report = []
-    for N in range(1, int(limit) + 1):
-        rec = _shell_record(ring, units, N)
-        rec["nt_admissible"] = nt(N)
-        rec["admitted"] = rec["shell_size"] == rec["unit_count"] and rec["aligned"]
-        report.append(rec)
-    return report
+    return [
+        {"N": N, "shell_size": size, "aligned": aligned, "unit_count": nunits,
+         "nt_admissible": _split_free(lattice, N), "admitted": size == nunits and aligned}
+        for N, size, nunits, aligned in _shells(lattice, limit)
+    ]

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from chernkit import __version__, invariants
+from chernkit import __version__, invariants, quadring
 from chernkit.cli import run
 
 HALDANE = '{"model": "haldane"}'
@@ -96,6 +96,16 @@ def test_ring_isolated(capsys):
     code, out, _ = _run(capsys, "ring", "--d", "1", "--op", "isolated", "--n", "9")
     assert code == 0
     assert json.loads(out)["isolated"] is True
+
+
+def test_ring_distances_over_bound_exits_2_without_enumerating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(quadring, "shell_enumerate", lambda *a: calls.append(a))
+    code, out, err = _run(capsys, "ring", "--op", "distances", "--limit", "12000")
+    assert code == 2
+    assert out == ""
+    assert "enumeration bound" in json.loads(err)["error"]
+    assert calls == []
 
 
 def test_ring_bad_d_exits_2(capsys):
@@ -202,6 +212,16 @@ def test_chern_bad_config_exits_2(capsys):
         code, _, err = _run(capsys, "chern", "--model-config", bad)
         assert code == 2, bad
         assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("N", [2.5, "x", True])
+def test_chern_non_integer_range_exits_2(capsys, N):
+    """A fractional or non-numeric N is refused, never truncated to an integer."""
+    cfg = json.dumps({"model": "haldane", "N": N})
+    code, out, err = _run(capsys, "chern", "--model-config", cfg, "--method", "berry")
+    assert code == 2
+    assert out == ""
+    assert "N must be a nonzero integer" in json.loads(err)["error"]
 
 
 def test_chern_bad_grid_exits_2(capsys):
@@ -387,6 +407,17 @@ def test_validate_degenerate_configured_point_exits_3(capsys, monkeypatch, point
     assert code == 3
     assert json.loads(err)["kind"] == "DegenerateFamilyError"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_validate_refuses_fewer_than_one_point(capsys, monkeypatch, points):
+    calls = []
+    monkeypatch.setattr(invariants, "cross_validate", lambda *a, **k: calls.append(a))
+    code, out, err = _run(capsys, "validate", "--model-config", HALDANE, "--points", points)
+    assert code == 2
+    assert out == ""
+    assert "--points" in json.loads(err)["error"]
+    assert calls == []
 
 
 def test_validate_deterministic(capsys):

@@ -266,6 +266,27 @@ def test_capacity_error():
         shell_enumerate(GAUSS, 10**8 + 1)
 
 
+@pytest.mark.parametrize("distances", [commensurate_distances, distance_report])
+def test_oversized_distance_limit_refused_before_enumerating(distances, monkeypatch):
+    calls = []
+    original = quadring.shell_enumerate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quadring, "shell_enumerate", counting)
+    with pytest.raises(CapacityError, match="norm 100020001 exceeds"):
+        distances("square", 12000)
+    monkeypatch.setattr(quadring, "ENUMERATION_BOUND", 100)
+    with pytest.raises(CapacityError, match="norm 121 exceeds"):
+        distances("square", 11)
+    assert calls == []
+    # the largest limit whose last shell is within the bound is not refused
+    distances("square", 10)
+    assert (100,) in [args[1:] for args in calls]
+
+
 # ---------------------------------------------------------------------------
 # isolated norms
 # ---------------------------------------------------------------------------
@@ -352,9 +373,16 @@ def test_distance_report_consistency():
                 assert rec["shell_size"] == rec["unit_count"]
 
 
-def test_square_admissible_rule():
+@pytest.mark.parametrize(
+    "admissible, m",
+    [(square_admissible, 4), (triangular_admissible, 3)],
+    ids=["square", "triangular"],
+)
+def test_square_admissible_rule(admissible, m):
+    """A range is admissible iff no prime p = 1 (mod 4), resp. (mod 3), divides it."""
     for N in range(1, 40):
-        assert square_admissible(N) == all(p % 4 != 1 for p in factorint(N))
+        assert admissible(N) == all(p % m != 1 for p in factorint(N))
+        assert admissible(-N) == admissible(N)
 
 
 def test_admissibility_examples():
