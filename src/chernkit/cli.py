@@ -1,18 +1,28 @@
 """Command-line front end.
 
-Subcommands: ring, models, chern, scan, rose, wall, fan, validate.
-Exit codes: 0 success, 2 configuration/validation errors, 3 numeric failures
-(degeneracy, unresolved residuals); on failure a machine-readable JSON error
-object is written to stderr.
+Subcommands: ring, models, chern, scan, rose, wall, fan, validate.  Results go
+to stdout as JSON, or as CSV for sampled data (``scan``, ``rose``; ``--out``
+sends the CSV to a file, and the ``scan`` summary then goes to stdout instead
+of stderr).  ``ring --op distances`` takes its lattice from ``--d``: 1 is the
+square lattice, 3 the triangular one.
+
+Exit codes: 0 success; 2 configuration or validation errors (any
+``ValueError``: ``ModelError``, ``RingError``, ``CapacityError``, ``CliError``);
+3 numeric failures (``InvariantError``: degeneracy on the grid, unresolved
+residuals, engine disagreement) and a fan that is not realized.  :func:`run`
+is the one place that turns an exception into an exit code: it writes
+``{"error": message, "kind": exception class}`` to stderr, plus ``k`` (the
+degenerate momentum) and ``raw`` (the unrounded invariant) when the exception
+carries them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,32 +30,40 @@ import numpy as np
 from . import __version__, invariants, models, phasediag, quadring
 
 
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = 2, **payload):
+class CliError(ValueError):
+    """A bad command line or config; exits 2 unless ``exit_code`` says otherwise."""
+
+    def __init__(self, message: str, exit_code: int = 2):
         super().__init__(message)
         self.exit_code = exit_code
-        self.payload = payload
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, invariants.ChernResult):
-        return _jsonable(dataclasses.asdict(obj))
-    return obj
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(payload, stream=None):
-    json.dump(_jsonable(payload), stream or sys.stdout, indent=2, sort_keys=True)
-    (stream or sys.stdout).write("\n")
+    stream = stream or sys.stdout
+    json.dump(payload, stream, indent=2, sort_keys=True, default=_json_default)
+    stream.write("\n")
+
+
+def _write_csv(path: str | None, header, rows) -> bool:
+    """Write a CSV table to ``path``, or to stdout for None and "-"; True for stdout."""
+    to_stdout = path in (None, "-")
+    sink = (contextlib.nullcontext(sys.stdout) if to_stdout
+            else open(path, "w", newline="", encoding="utf-8"))
+    with sink as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return to_stdout
 
 
 def _load_model_config(spec: str):
@@ -67,29 +85,25 @@ def _load_model_config(spec: str):
         raise CliError(f"model config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict) or "model" not in cfg:
         raise CliError('model config must be an object with a "model" key')
-    try:
-        model = models.builtin_model(cfg["model"])
-        params = cfg.get("params") or {}
-        if not isinstance(params, dict):
-            raise CliError('"params" must be an object')
-        if "N" in cfg and cfg["N"] is not None:
-            model = models.scale_model(model, cfg["N"], cfg.get("variant", "all"))
-        model.params_with_defaults(params)
-    except models.ModelError as exc:
-        raise CliError(str(exc)) from exc
+    model = models.builtin_model(cfg["model"])
+    params = cfg.get("params") or {}
+    if not isinstance(params, dict):
+        raise CliError('"params" must be an object')
+    if cfg.get("N") is not None:
+        model = models.scale_model(model, cfg["N"], cfg.get("variant", "all"))
+    model.params_with_defaults(params)
     return model, params
 
 
 def _parse_grid(text: str) -> int:
     try:
-        if "x" in text:
-            nx, ny = text.lower().split("x")
-            if int(nx) != int(ny):
-                raise CliError("only square grids NxN are supported")
-            return int(nx)
-        return int(text)
+        nx, ny = text.lower().split("x") if "x" in text else (text, text)
+        nx, ny = int(nx), int(ny)
     except ValueError as exc:
         raise CliError(f"bad grid spec {text!r}") from exc
+    if nx != ny:
+        raise CliError("only square grids NxN are supported")
+    return nx
 
 
 def _parse_axis(text: str):
@@ -103,109 +117,71 @@ def _parse_axis(text: str):
         raise CliError(f"bad axis spec {text!r}") from exc
 
 
-def _open_out(path: str | None):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
+_DISTANCE_LATTICES = {1: "square", 3: "triangular"}
+
 
 def _cmd_ring(args) -> int:
-    try:
-        if args.op == "distances":
-            vals = quadring.commensurate_distances(
-                args.lattice, args.limit, rotated=args.rotated
+    if args.op == "distances":
+        lattice = _DISTANCE_LATTICES.get(args.d)
+        if lattice is None:
+            raise CliError(
+                f"--op distances needs --d 1 (square) or --d 3 (triangular), got {args.d}"
             )
-            _emit_json({"lattice": args.lattice, "limit": args.limit, "distances": vals})
-        elif args.op == "shell":
-            ring = quadring.make_ring(args.d)
-            sh = quadring.shell_enumerate(ring, args.n)
-            _emit_json(
-                {
-                    "d": args.d,
-                    "n": args.n,
-                    "points": [list(p) for p in sh.points],
-                    "represented": sh.represented,
-                    "isolated": sh.isolated,
-                    "distance": sh.distance,
-                }
-            )
-        elif args.op == "classify":
-            ring = quadring.make_ring(args.d)
-            _emit_json({"d": args.d, "p": args.p, "behavior": quadring.classify_prime(ring, args.p).value})
-        elif args.op == "isolated":
-            ring = quadring.make_ring(args.d)
-            _emit_json(
-                {
-                    "d": args.d,
-                    "n": args.n,
-                    "isolated": quadring.is_isolated_norm(ring, args.n),
-                    "advisory": quadring.isolated_norm_advisory(ring, args.n),
-                }
-            )
-    except quadring.RingError as exc:
-        raise CliError(str(exc)) from exc
+        vals = quadring.commensurate_distances(lattice, args.limit, rotated=args.rotated)
+        _emit_json({"lattice": lattice, "limit": args.limit, "distances": vals})
+        return 0
+    ring = quadring.make_ring(args.d)
+    if args.op == "shell":
+        sh = quadring.shell_enumerate(ring, args.n)
+        payload = {"n": args.n, "points": sh.points, "represented": sh.represented,
+                   "isolated": sh.isolated, "distance": sh.distance}
+    elif args.op == "classify":
+        payload = {"p": args.p, "behavior": quadring.classify_prime(ring, args.p).value}
+    else:  # isolated
+        payload = {"n": args.n, "isolated": quadring.is_isolated_norm(ring, args.n),
+                   "advisory": quadring.isolated_norm_advisory(ring, args.n)}
+    _emit_json({"d": args.d, **payload})
     return 0
+
+
+def _describe(m) -> dict:
+    return {"bands": m.bands, "lattice": m.lattice, "defaults": m.defaults}
 
 
 def _cmd_models(args) -> int:
     if args.name:
-        try:
-            m = models.builtin_model(args.name)
-        except models.ModelError as exc:
-            raise CliError(str(exc)) from exc
-        _emit_json(
-            {
-                "name": m.name,
-                "bands": m.bands,
-                "lattice": m.lattice,
-                "defaults": m.defaults,
-                "zone": {"g1": m.zone.g1, "g2": m.zone.g2},
-                "periodicity": m.periodicity,
-            }
-        )
+        m = models.builtin_model(args.name)
+        _emit_json({**_describe(m), "name": m.name, "periodicity": m.periodicity,
+                    "zone": {"g1": m.zone.g1, "g2": m.zone.g2}})
     else:
-        listing = {}
-        for name in models.catalog():
-            m = models.builtin_model(name)
-            listing[name] = {
-                "bands": m.bands,
-                "lattice": m.lattice,
-                "defaults": m.defaults,
-            }
+        listing = {name: _describe(models.builtin_model(name)) for name in models.catalog()}
         _emit_json({"models": listing})
     return 0
+
+
+# one engine each; looked up on the module at call time so wrappers see every call
+_ENGINES = {
+    "berry": lambda model, params, band, grid: invariants.chern_berry_lattice(
+        model, params, band=band, grid=grid),
+    "integral": lambda model, params, band, grid: invariants.degree_integral(
+        model, params, grid=max(grid, 100), band=band),
+    "ray": lambda model, params, band, grid: invariants.degree_ray(model, params, band=band),
+}
 
 
 def _cmd_chern(args) -> int:
     model, params = _load_model_config(args.model_config)
     grid = _parse_grid(args.grid)
-    if args.method == "berry":
-        result = invariants.chern_berry_lattice(model, params, band=args.band, grid=grid)
-        _emit_json(result)
-    elif args.method == "integral":
-        result = invariants.degree_integral(model, params, grid=max(grid, 100), band=args.band)
-        _emit_json(result)
-    elif args.method == "ray":
-        result = invariants.degree_ray(model, params, band=args.band)
-        _emit_json(result)
-    else:  # all
-        report = invariants.cross_validate(
-            model, params, grids={"berry": grid}, band=args.band
-        )
-        _emit_json(
-            {
-                "value": report["value"],
-                "band": report["band"],
-                "values": report["values"],
-                "residuals": report["residuals"],
-                "results": report["results"],
-            }
-        )
+    if args.method == "all":
+        report = invariants.cross_validate(model, params, grids={"berry": grid}, band=args.band)
+        result = {key: report[key] for key in ("value", "band", "values", "residuals", "results")}
+    else:
+        result = _ENGINES[args.method](model, params, args.band, grid)
+    _emit_json(result)
     return 0
 
 
@@ -214,30 +190,20 @@ def _cmd_scan(args) -> int:
     if params:
         model = dataclasses.replace(model, defaults=model.params_with_defaults(params))
     axes = [_parse_axis(a) for a in args.axis]
-    try:
-        diagram = phasediag.scan(
-            model,
-            axes,
-            degeneracy_threshold=args.threshold,
-            band=args.band,
-            grid=_parse_grid(args.grid),
-        )
-    except models.ModelError as exc:
-        raise CliError(str(exc)) from exc
-    out, close = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        names = [ax[0] for ax in diagram.axes]
-        writer.writerow(names + ["chern", "min_gap"])
-        for cell in diagram.cells:
-            label = cell.chern if cell.chern is not None else "ERROR"
-            writer.writerow(
-                [repr(cell.params[n]) for n in names]
-                + [label, repr(cell.min_gap)]
-            )
-    finally:
-        if close:
-            out.close()
+    diagram = phasediag.scan(
+        model,
+        axes,
+        degeneracy_threshold=args.threshold,
+        band=args.band,
+        grid=_parse_grid(args.grid),
+    )
+    names = [ax[0] for ax in diagram.axes]
+    rows = (
+        [repr(cell.params[n]) for n in names]
+        + ["ERROR" if cell.chern is None else cell.chern, repr(cell.min_gap)]
+        for cell in diagram.cells
+    )
+    to_stdout = _write_csv(args.out, names + ["chern", "min_gap"], rows)
     certified = sum(cell.certified for cell in diagram.cells)
     summary = {
         "axes": [list(ax) for ax in diagram.axes],
@@ -246,54 +212,30 @@ def _cmd_scan(args) -> int:
         "certified": certified,
         "refined": len(diagram.cells) - certified,
     }
-    if close:
-        _emit_json(summary)
-    else:
-        _emit_json(summary, stream=sys.stderr)
+    _emit_json(summary, stream=sys.stderr if to_stdout else sys.stdout)
     return 0
 
 
 def _cmd_rose(args) -> int:
     rc = phasediag.rose_curve(args.d, args.dprime, args.t, args.samples)
-    out, close = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["x", "y"])
-        for x, y in rc.samples:
-            writer.writerow([repr(float(x)), repr(float(y))])
-    finally:
-        if close:
-            out.close()
+    _write_csv(args.out, ["x", "y"], ([repr(float(x)), repr(float(y))] for x, y in rc.samples))
     return 0
 
 
 def _cmd_wall(args) -> int:
-    try:
-        zeros = phasediag.wall_zeros(args.d, args.dprime)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    zeros = phasediag.wall_zeros(args.d, args.dprime)
     fam = phasediag.wall_family(args.d, args.dprime)
-    ts = np.linspace(0.0, 1.0, args.tsamples)
-    trace = [[float(t), fam.min_norm(t)] for t in ts]
-    _emit_json(
-        {
-            "d": args.d,
-            "dprime": args.dprime,
-            "delta": fam.delta,
-            "zeros": zeros,
-            "trace": trace,
-        }
-    )
+    trace = [[float(t), fam.min_norm(t)] for t in np.linspace(0.0, 1.0, args.tsamples)]
+    _emit_json({"d": args.d, "dprime": args.dprime, "delta": fam.delta, "zeros": zeros,
+                "trace": trace})
     return 0
 
 
 def _cmd_fan(args) -> int:
-    try:
-        labels = [int(x) for x in args.labels.split(",")]
-        fan = phasediag.FanDiagram(k=args.k, labels=tuple(labels))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    report = phasediag.verify_realization(fan, probe_radius=args.probe_radius)
+    labels = tuple(int(x) for x in args.labels.split(","))
+    report = phasediag.verify_realization(
+        phasediag.FanDiagram(k=args.k, labels=labels), probe_radius=args.probe_radius
+    )
     _emit_json(report)
     return 0 if report["passed"] else 3
 
@@ -346,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     ring = sub.add_parser("ring", help="quadratic-ring shells and distances")
     ring.add_argument("--d", type=int, default=1)
     ring.add_argument("--op", choices=["distances", "shell", "classify", "isolated"], required=True)
-    ring.add_argument("--lattice", choices=["square", "triangular"], default=None)
     ring.add_argument("--limit", type=int, default=20)
     ring.add_argument("--n", type=int, default=1)
     ring.add_argument("--p", type=int, default=2)
@@ -359,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser("chern", help="Chern number of one band")
     ch.add_argument("--model-config", required=True)
-    ch.add_argument("--method", choices=["berry", "integral", "ray", "all"], default="all")
+    ch.add_argument("--method", choices=[*_ENGINES, "all"], default="all")
     ch.add_argument("--band", type=int, default=0)
     ch.add_argument("--grid", default="60")
     ch.set_defaults(func=_cmd_chern)
@@ -409,27 +350,18 @@ def run(argv=None) -> int:
     if args.list_models:
         _emit_json({"models": models.catalog()})
         return 0
-    if not getattr(args, "command", None):
+    if args.command is None:
         parser.print_help()
         return 2
-    if args.command == "ring" and args.op == "distances" and args.lattice is None:
-        args.lattice = "square" if args.d == 1 else "triangular"
     try:
         return args.func(args)
-    except CliError as exc:
-        _emit_json({"error": str(exc), **exc.payload}, stream=sys.stderr)
-        return exc.exit_code
-    except (quadring.RingError, models.ModelError, ValueError) as exc:
-        _emit_json({"error": str(exc), "kind": type(exc).__name__}, stream=sys.stderr)
-        return 2
-    except invariants.InvariantError as exc:
+    except (ValueError, invariants.InvariantError) as exc:
         payload = {"error": str(exc), "kind": type(exc).__name__}
-        if isinstance(exc, invariants.DegenerateFamilyError) and exc.k is not None:
-            payload["k"] = exc.k.tolist()
-        if isinstance(exc, invariants.ResolutionError) and exc.raw is not None:
-            payload["raw"] = exc.raw
+        for key in ("k", "raw"):
+            if getattr(exc, key, None) is not None:
+                payload[key] = getattr(exc, key)
         _emit_json(payload, stream=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 2 if isinstance(exc, ValueError) else 3)
 
 
 def main() -> None:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
 
 from .invariants import (
     ChernResult,
@@ -53,6 +52,8 @@ def minimum_gap(
     A coarse grid locates the candidate minimum; Nelder-Mead descent in
     fractional momentum coordinates refines it.
     """
+    from scipy import optimize  # imported on first use; it is slow to import
+
     _check_gap_band(model, band)
     p = model.params_with_defaults(params)
     frac = np.arange(kgrid) / kgrid
@@ -232,6 +233,8 @@ def locate_transition(
     when the gap does not close on the bracket (multi-band: not below
     ``DEGENERACY_THRESHOLD``).
     """
+    from scipy import optimize  # imported on first use; it is slow to import
+
     _check_gap_band(model, band)
     base = model.params_with_defaults(params)
     if axis not in base:
@@ -314,6 +317,8 @@ class WallFamily:
 
 def _min_norm_on_sphere(fn, nphi: int, ntheta: int) -> float:
     """Grid minimum of |fn(phi, theta)| polished by simplex descent."""
+    from scipy import optimize  # imported on first use; it is slow to import
+
     phi = np.linspace(0.0, TWO_PI, nphi, endpoint=False)
     theta = np.linspace(0.0, math.pi, ntheta)
     P, T = np.meshgrid(phi, theta, indexing="ij")

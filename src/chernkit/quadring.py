@@ -294,9 +294,11 @@ def kagome_site_kind(N: int) -> str:
 
 def _shells(lattice: str, limit: float):
     """(N, size, unit count, whether it dilates the unit shell) of the norm-N^2 shells."""
+    if limit < 1:
+        raise RingError("limit must be >= 1")
     if lattice not in _LATTICE_RING:
         raise RingError(f"unknown lattice {lattice!r}; expected square or triangular")
-    top = max(int(limit), 0)
+    top = int(limit)
     _check_norm(min(top, math.isqrt(ENUMERATION_BOUND) + 1) ** 2)  # before any enumeration
     ring = make_ring(_LATTICE_RING[lattice])
     units = ring.units()
@@ -314,8 +316,6 @@ def commensurate_distances(
     and is the N-fold dilation of the unit shell.  With ``rotated=True`` the
     rotated class (right point count, different orientation) is also admitted.
     """
-    if limit < 1:
-        raise RingError("limit must be >= 1")
     return [N for N, size, nunits, aligned in _shells(lattice, limit)
             if size == nunits and (aligned or rotated)]
 

@@ -114,6 +114,21 @@ def test_ring_bad_d_exits_2(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("d", ["2", "5", "7"])
+def test_ring_distances_lattice_follows_d(capsys, d):
+    """Only d = 1 (square) and d = 3 (triangular) have a distance lattice."""
+    code, out, err = _run(capsys, "ring", "--d", d, "--op", "distances", "--limit", "6")
+    assert code == 2
+    assert out == ""
+    assert "--d 1 (square) or --d 3 (triangular)" in json.loads(err)["error"]
+
+
+def test_ring_lattice_option_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["ring", "--op", "distances", "--lattice", "triangular"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
@@ -438,3 +453,39 @@ def test_validate_deterministic(capsys):
     assert outs[0] == outs[1]
     pts = json.loads(outs[0])["points"]
     assert len(pts) == 2
+
+
+# ---------------------------------------------------------------------------
+# error payload
+# ---------------------------------------------------------------------------
+
+BHZ_GAPLESS = '{"model": "bhz_square", "params": {"m": 2.0}}'
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["chern", "--model-config", "{"], 2, "CliError"),
+        (["chern", "--model-config", '{"model": "nope"}'], 2, "ModelError"),
+        (["chern", "--model-config", '{"model": "haldane", "N": 2.5}'], 2, "ModelError"),
+        (["ring", "--d", "4", "--op", "shell", "--n", "2"], 2, "RingError"),
+        (["wall", "--d", "2", "--dprime", "2"], 2, "ValueError"),
+        (["fan", "--k", "3", "--labels", "0,1"], 2, "ValueError"),
+        (["scan", "--model-config", '{"model": "bhz_square"}', "--axis", "m:-1:1:3",
+          "--band", "1"], 2, "ModelError"),
+        (["validate", "--model-config", HALDANE, "--points", "0"], 2, "CliError"),
+        (["chern", "--model-config", BHZ_GAPLESS, "--method", "berry"], 3,
+         "DegenerateFamilyError"),
+    ],
+    ids=["bad-json", "unknown-model", "fractional-N", "non-square-free-d", "wall-d-eq-dprime",
+         "fan-labels", "scan-band", "points-0", "degenerate-chern"],
+)
+def test_error_payload_names_its_kind(capsys, argv, code, kind):
+    """Every error exit writes {"error", "kind"} to stderr and nothing to stdout."""
+    rc, out, err = _run(capsys, *argv)
+    assert rc == code
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["kind"] == kind
+    assert payload["error"]
+    assert set(payload) <= {"error", "kind", "k", "raw"}

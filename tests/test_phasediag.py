@@ -1,10 +1,15 @@
 """Tests for phase-diagram scans, wall families, rose curves, and fans."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chernkit
 from chernkit import phasediag
 from chernkit.models import SQUARE_ZONE, BlochModel, ModelError, builtin_model
 from chernkit.phasediag import (
@@ -462,3 +467,21 @@ def test_adjacent_chamber_rule():
     assert report["passed"], report
     walls = [r["wall"] for r in report["rays"]]
     assert walls == [True, False, True, False]
+
+
+def test_scipy_optimize_is_imported_only_by_refinement():
+    """The engines run without scipy.optimize; a scan's gap refinement loads it."""
+    script = """
+import sys
+import chernkit as ck
+ck.cross_validate(ck.builtin_model("haldane"))
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+ck.scan(ck.builtin_model("bhz_square"), [("m", -1.0, 1.0, 3)])
+assert "scipy.optimize" in sys.modules, "scan did not load scipy.optimize"
+"""
+    src = str(Path(chernkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

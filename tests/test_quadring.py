@@ -287,6 +287,13 @@ def test_oversized_distance_limit_refused_before_enumerating(distances, monkeypa
     assert (100,) in [args[1:] for args in calls]
 
 
+@pytest.mark.parametrize("distances", [commensurate_distances, distance_report])
+@pytest.mark.parametrize("limit", [0, 0.5, -4])
+def test_distance_limit_below_one_refused(distances, limit):
+    with pytest.raises(RingError, match="limit must be >= 1"):
+        distances("square", limit)
+
+
 # ---------------------------------------------------------------------------
 # isolated norms
 # ---------------------------------------------------------------------------
