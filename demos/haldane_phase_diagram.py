@@ -3,12 +3,13 @@
 The model's ground band carries Chern number +1 or -1 inside the two lobes
 |m| < 3*sqrt(3)*t2*|sin(phi)| and 0 outside.  We scan a (phi, m) grid with
 the Berry-plaquette engine, render the labels as text, and then locate the
-boundary constant as the root of the gap-closing indicator.
+boundary constant as the zero of h(k, m) where the gap closes, with the
+charge of that Dirac point.
 """
 
 import math
 
-from chernkit import builtin_model, locate_transition, scan
+from chernkit import builtin_model, critical_points, locate_transition, scan
 
 SYMBOLS = {0: ".", 1: "+", -1: "-", "DEGENERATE": "*", None: "?"}
 
@@ -39,6 +40,10 @@ def main() -> None:
     m_star = locate_transition(haldane, "m", 4.0, 6.0, params={"t2": 1.0})
     print(f"  located:     m* = {m_star:.12f}")
     print(f"  closed form: 3*sqrt(3) = {3 * math.sqrt(3):.12f}")
+    for point in critical_points(haldane, "m", 4.0, 6.0, params={"t2": 1.0}):
+        kx, ky = point.k
+        print(f"  critical point: m = {point.param:.12f} at k = ({kx:+.6f}, {ky:+.6f}),"
+              f" charge {point.charge:+d}, so C changes by {-point.charge:+d}")
 
     print()
     print("probe values on the phi = pi/2 line (t2 = 0.5, boundary at 2.598...):")

@@ -618,14 +618,33 @@ class PreDiracPoint:
     degenerate: bool
 
 
-def _fd_jac12(model, p, kx, ky) -> np.ndarray:
-    """Central-difference d(h1, h2)/d(kx, ky) at 1-D arrays of k, shape (n, 2, 2),
-    from one field call on the four shifted copies of the points."""
+def _fd_jac(model, p, kx, ky) -> np.ndarray:
+    """Central-difference dh/d(kx, ky) at 1-D arrays of k, shape (n, 3, 2), from
+    one field call on the four shifted copies of the points."""
     eps = 1e-7
     X = np.concatenate([kx + eps, kx - eps, kx, kx])
     Y = np.concatenate([ky, ky, ky + eps, ky - eps])
-    h = model.field(p, X, Y)[:, :2].reshape(4, len(kx), 2)
+    h = model.field(p, X, Y).reshape(4, len(kx), 3)
     return np.stack([h[0] - h[1], h[2] - h[3]], axis=-1) / (2 * eps)
+
+
+def _merge_degenerate(frac, degenerate, residual, tol) -> np.ndarray:
+    """Indices of the zeros to keep, in their order.
+
+    Newton converges only linearly at a singular Jacobian, so the seeds of one
+    degenerate zero stop at scattered points that miss the seam-key grid.  Of
+    the degenerate zeros within ``tol`` of each other on the torus (in
+    fractional coordinates), the one of least residual stays.
+    """
+    keep = ~degenerate
+    kept: list[int] = []
+    for i in np.flatnonzero(degenerate)[np.argsort(residual[degenerate], kind="stable")]:
+        d = frac[kept] - frac[i]
+        d -= np.round(d)
+        if not kept or np.hypot(d[:, 0], d[:, 1]).min() >= tol:
+            kept.append(i)
+    keep[kept] = True
+    return np.flatnonzero(keep)
 
 
 def pre_dirac_points(
@@ -639,8 +658,9 @@ def pre_dirac_points(
     Jacobian call on the seeds still iterating, with the 2x2 systems solved in
     closed form; a seed leaves when it converges or its Jacobian is singular.
     Each zero carries sgn det d(h1,h2)/d(kx,ky); zeros with a singular Jacobian
-    are reported with ``degenerate=True`` rather than dropped.  The zeros come
-    in the order of their seam keys (fractional coordinates on a 1e-6 grid).
+    are reported with ``degenerate=True`` rather than dropped, and degenerate
+    zeros closer than half a seed spacing count as one.  The zeros come in the
+    order of their seam keys (fractional coordinates on a 1e-6 grid).
     """
     if model.bands != 2 or model.field is None:
         raise ModelError("pre_dirac_points requires a 2-band coefficient model")
@@ -648,7 +668,7 @@ def pre_dirac_points(
     zone = model.zone
 
     def jac12(kx, ky):
-        return model.jac12(p, kx, ky) if model.jac12 else _fd_jac12(model, p, kx, ky)
+        return model.jac12(p, kx, ky) if model.jac12 else _fd_jac(model, p, kx, ky)[:, :2]
 
     ss = (np.arange(seed_density) + 0.5) / seed_density
     S, T = np.meshgrid(ss, ss, indexing="ij")
@@ -684,16 +704,17 @@ def pre_dirac_points(
     _, first = np.unique(keys[:, 0] * 1000000 + keys[:, 1], return_index=True)
     frac = frac[first]
     kred = zone.kpoint(frac[:, 0], frac[:, 1])
-    h3 = model.field(p, kred[:, 0], kred[:, 1])[:, 2]
+    h = model.field(p, kred[:, 0], kred[:, 1])
     det = np.linalg.det(jac12(kred[:, 0], kred[:, 1]))
     degenerate = np.abs(det) < 1e-8 * scale**2
+    keep = _merge_degenerate(frac, degenerate, np.hypot(h[:, 0], h[:, 1]), 0.5 / seed_density)
     return [
         PreDiracPoint(
             k=kred[i],
             frac=(float(frac[i, 0]), float(frac[i, 1])),
             jac_sign=0 if degenerate[i] else int(np.sign(det[i])),
-            h3=float(h3[i]),
+            h3=float(h[i, 2]),
             degenerate=bool(degenerate[i]),
         )
-        for i in range(len(first))
+        for i in keep
     ]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,15 @@ from .invariants import (
     sphere_map_degree,
     winding_number,
 )
-from .models import BlochModel, ModelError, _check_gap_band, assemble, gap, pre_dirac_points
+from .models import (
+    BlochModel,
+    ModelError,
+    _check_gap_band,
+    _fd_jac,
+    assemble,
+    gap,
+    pre_dirac_points,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -217,6 +227,222 @@ def scan(
     )
 
 
+class CriticalPoint(NamedTuple):
+    """A zero of h(k, lambda): the gap of a 2-band model closes at ``k`` when the
+    axis parameter is ``param``.
+
+    ``charge`` is sgn det [dh/dkx, dh/dky, dh/dlambda], or None where that
+    Jacobian is singular.
+    """
+
+    param: float
+    k: np.ndarray
+    charge: int | None
+
+
+#: |(h1, h2)| at which a point counts as on a zero curve, as in ``pre_dirac_points``
+_CURVE_TOL = 1e-10
+#: continuation steps, in (kx, ky, u) with u the bracket rescaled to [0, 1]
+_FIRST_STEP, _MAX_STEP, _MIN_STEP = 0.25, 0.5, 1e-9
+_MAX_STEPS = 4000
+#: half the default seed spacing of ``pre_dirac_points``, in fractional coordinates
+_SEAM_TOL = 0.5 / 48
+
+
+def _ray_degree(pts) -> int | None:
+    """The ray engine's degree from pre-Dirac points, None where it is undefined."""
+    if any(q.degenerate or abs(q.h3) < 1e-9 for q in pts):
+        return None
+    return sum(q.jac_sign for q in pts if q.h3 > 0)
+
+
+def critical_points(
+    model: BlochModel,
+    axis: str,
+    lo: float,
+    hi: float,
+    params: dict | None = None,
+) -> list[CriticalPoint]:
+    """The zeros of h(k, lambda) of a 2-band model with lambda = ``axis`` in [lo, hi].
+
+    The curves (h1, h2) = 0 in (kx, ky, lambda) are traced by pseudo-arclength
+    continuation from the pre-Dirac points at lo and at hi (one solve at each
+    end; an end point that an earlier curve reached is not traced again).  A
+    sign change of h3 along a curve is a closing; Newton on the 3x3 system
+    h = 0, with Jacobian [jac | dh/dlambda] (dh/dlambda by central difference
+    on the params), polishes it, and the sign of that determinant is its
+    charge.  The zeros come sorted by parameter value.
+
+    Under the global convention the ground band's Chern number changes by
+    -sum(charge) from lo to hi, so a bracket needs at least |Delta C| zeros.
+    That sum must equal deg(hi) - deg(lo), the ray engine's count on the
+    seeds; a mismatch means a closing was missed and raises
+    :class:`DegenerateFamilyError`.  The check is skipped when an end point
+    is itself degenerate or a charge is None.  Zero curves that begin and end
+    inside the bracket touch no seed and are not seen.
+    """
+    if model.bands != 2 or model.field is None:
+        raise ModelError("critical_points requires a 2-band coefficient model")
+    base = model.params_with_defaults(params)
+    if axis not in base:
+        raise ModelError(f"{axis!r} is not a parameter of {model.name}")
+    lo, hi = sorted((float(lo), float(hi)))
+    if lo == hi:
+        raise ModelError(f"the bracket [{lo}, {hi}] is empty")
+    width = hi - lo
+    eps = 1e-6 * max(1.0, abs(lo), abs(hi))
+
+    def at(u):
+        return {**base, axis: lo + width * float(u)}
+
+    def field(y):
+        return model.field(at(y[2]), y[:1], y[1:2])[0]
+
+    def jacobian(y):
+        """[dh/dkx, dh/dky, dh/du] at y = (kx, ky, u), shape (3, 3)."""
+        p = at(y[2])
+        J = (model.jac or partial(_fd_jac, model))(p, y[:1], y[1:2])[0]
+        up = {**p, axis: p[axis] + eps}
+        down = {**p, axis: p[axis] - eps}
+        dh = model.field(up, y[:1], y[1:2])[0] - model.field(down, y[:1], y[1:2])[0]
+        return np.column_stack([J, dh * (width / (2 * eps))])
+
+    ends = [pre_dirac_points(model, at(0.0)), pre_dirac_points(model, at(1.0))]
+    visited = [np.zeros(len(pts), dtype=bool) for pts in ends]
+    zeros: list[tuple[np.ndarray, int | None]] = []
+
+    def tangent(D, prev):
+        t = np.cross(D[0], D[1])
+        n = np.linalg.norm(t)
+        if n < _CURVE_TOL**2:  # a singular point of the zero set: keep the direction
+            return prev
+        t /= n
+        return t if t @ prev >= 0 else -t
+
+    def correct(y, t):
+        """Newton on (h1, h2) = 0 within the plane through y normal to t."""
+        for it in range(6):
+            h = field(y)
+            if math.hypot(h[0], h[1]) < _CURVE_TOL:
+                return y, h[2], it
+            A = np.vstack([jacobian(y)[:2], t])
+            try:
+                y = y - np.linalg.solve(A, np.array([h[0], h[1], 0.0]))
+            except np.linalg.LinAlgError:
+                return None
+        return None
+
+    def polish(a, b):
+        """The zero of h between curve points a and b, (y, h3) each."""
+        (ya, ha), (yb, hb) = a, b
+        y0 = ya + (yb - ya) * (ha / (ha - hb)) if ha != hb else ya
+        y, h = y0, field(y0)
+        for _ in range(30):  # Newton while it lowers |h|
+            try:
+                trial = y - np.linalg.solve(jacobian(y), h)
+            except np.linalg.LinAlgError:
+                break
+            h_trial = field(trial)
+            if not np.linalg.norm(h_trial) < np.linalg.norm(h):
+                break
+            y, h = trial, h_trial
+        if -1e-12 <= y[2] <= 1 + 1e-12:
+            M = jacobian(y) / [1.0, 1.0, width]
+            det = np.linalg.det(M)
+            # relative to the Jacobian's scale, as pre_dirac_points judges det jac12
+            singular = abs(det) < 1e-8 * max(1.0, np.abs(M).max()) ** 3
+            zeros.append((y, None if singular else int(np.sign(det))))
+
+    def exit_at(end, y):
+        """Mark the seed at ``end`` where the curve through y leaves the bracket."""
+        u = float(end)
+        for _ in range(30):
+            y = np.array([y[0], y[1], u])
+            h = field(y)
+            if math.hypot(h[0], h[1]) < _CURVE_TOL:
+                break
+            try:
+                y[:2] -= np.linalg.solve(jacobian(y)[:2, :2], h[:2])
+            except np.linalg.LinAlgError:
+                return
+        pts = ends[end]
+        if pts:
+            d = model.zone.frac(np.array([q.k for q in pts])) - model.zone.frac(y[:2])
+            d = np.hypot(*(d - np.round(d)).T)
+            i = int(np.argmin(d))
+            if d[i] < _SEAM_TOL:
+                visited[end][i] = True
+
+    def trace(y, direction):
+        h3, D = field(y)[2], jacobian(y)
+        t = tangent(D[:2], np.array([0.0, 0.0, direction]))
+        if abs(h3) < 1e-9:  # the gap closes at the end of the bracket, or next to it
+            polish((y, h3), (y, h3))
+        s = _FIRST_STEP
+        for _ in range(_MAX_STEPS):
+            guess = y + s * t
+            got = correct(guess, t)
+            if got is not None:
+                y_new, h3_new, iters = got
+                D_new = jacobian(y_new)
+                t_new = tangent(D_new[:2], t)
+                turn = t_new @ t
+                # h3 off its linear prediction: a step that h3 bends across could
+                # hide two sign changes
+                bend = abs(h3_new - h3 - s * (D[2] @ t)) / (abs(h3) + abs(h3_new) + 1e-300)
+            if got is None or np.linalg.norm(y_new - guess) > 0.5 * s or turn < 0.95 or bend > 0.5:
+                s /= 2
+                if s < _MIN_STEP:
+                    raise DegenerateFamilyError(
+                        f"continuation of a zero curve of {model.name} stalled near "
+                        f"{axis} = {lo + width * y[2]!r}", k=y[:2]
+                    )
+                continue
+            if h3_new == 0.0 or h3 * h3_new < 0:
+                polish((y, h3), (y_new, h3_new))
+            y, h3, D, t = y_new, h3_new, D_new, t_new
+            if not 0.0 < y[2] < 1.0:
+                return exit_at(int(y[2] >= 1.0), y)
+            if iters <= 1 and turn > 0.995 and bend < 0.1:
+                s = min(2 * s, _MAX_STEP)
+        raise DegenerateFamilyError(
+            f"a zero curve of {model.name} did not leave the bracket in {_MAX_STEPS} steps"
+        )
+
+    for end, direction in ((0, 1.0), (1, -1.0)):
+        for i, q in enumerate(ends[end]):
+            if not visited[end][i]:
+                visited[end][i] = True
+                trace(np.array([q.k[0], q.k[1], float(end)]), direction)
+
+    found = _distinct(model.zone, zeros)
+    out = [CriticalPoint(float(np.clip(lo + width * y[2], lo, hi)), y[:2], q) for y, q in found]
+    out.sort(key=lambda c: c.param)
+    degrees = [_ray_degree(pts) for pts in ends]
+    charges = [c.charge for c in out]
+    if None not in degrees and None not in charges:
+        if sum(charges) != degrees[1] - degrees[0]:
+            raise DegenerateFamilyError(
+                f"the charges of the closings of {model.name} on {axis} in [{lo}, {hi}] "
+                f"sum to {sum(charges)}, but the ray degree changes by "
+                f"{degrees[1] - degrees[0]}: a closing was missed"
+            )
+    return out
+
+
+def _distinct(zone, zeros):
+    """The zeros with copies (the same closing reached from two curves) dropped."""
+    out = []
+    for y, q in zeros:
+        for z, _ in out:
+            d = zone.frac(y[:2]) - zone.frac(z[:2])
+            if abs(y[2] - z[2]) < 1e-7 and np.hypot(*(d - np.round(d))) < 1e-6:
+                break
+        else:
+            out.append((y, q))
+    return out
+
+
 def locate_transition(
     model: BlochModel,
     axis: str,
@@ -227,44 +453,25 @@ def locate_transition(
 ) -> float:
     """Parameter value in [lo, hi] where the gap above ``band`` closes.
 
-    Two-band models find the root of h3 at the pre-Dirac point of minimal |h3|
-    by Brent's method; multi-band models use bounded minimization of the
-    refined minimum gap.  Both locate it to 1e-9 and raise :class:`ModelError`
-    when the gap does not close on the bracket (multi-band: not below
-    ``DEGENERACY_THRESHOLD``).
+    Two-band models return the smallest parameter value of
+    :func:`critical_points`, the zeros of h(k, lambda), to about 1e-12 and
+    raise :class:`ModelError` when there is none.  Multi-band models use
+    bounded minimization of the refined minimum gap, to 1e-9, and raise
+    :class:`ModelError` when the gap does not drop below
+    ``DEGENERACY_THRESHOLD`` on the bracket.
     """
-    from scipy import optimize  # imported on first use; it is slow to import
-
     _check_gap_band(model, band)
     base = model.params_with_defaults(params)
     if axis not in base:
         raise ModelError(f"{axis!r} is not a parameter of {model.name}")
 
     if model.bands == 2 and model.field is not None:
+        zeros = critical_points(model, axis, lo, hi, params)
+        if not zeros:
+            raise ModelError(f"the gap does not close on [{lo}, {hi}]")
+        return zeros[0].param
 
-        def indicator(x):
-            pts = pre_dirac_points(model, {**base, axis: float(x)})
-            if not pts:
-                raise DegenerateFamilyError("no pre-Dirac points; ray indicator undefined")
-            return min(pts, key=lambda q: abs(q.h3)).h3
-
-        # narrow the bracket around the dip of min |h3| first, so the
-        # minimal-|h3| pre-Dirac point is unique (the sign indicator is
-        # discontinuous where two points tie)
-        xs = np.linspace(float(lo), float(hi), 65)
-        vs = [indicator(x) for x in xs]
-        i0 = int(np.argmin(np.abs(vs)))
-        ia, ib = max(i0 - 1, 0), min(i0 + 1, len(xs) - 1)
-        a, b, fa, fb = float(xs[ia]), float(xs[ib]), vs[ia], vs[ib]
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if np.sign(fa) == np.sign(fb):
-            raise ModelError(
-                f"no sign change of the gap indicator on [{lo}, {hi}]"
-            )
-        return float(optimize.brentq(indicator, a, b, xtol=1e-9))
+    from scipy import optimize  # imported on first use; it is slow to import
 
     def gap_of(x):
         return minimum_gap(model, {**base, axis: float(x)}, band=band)[0]
@@ -408,6 +615,8 @@ def rose_curve(d: int, dprime: int, t: float, nsamples: int | None = None) -> Ro
     The sample count is raised until adjacent samples subtend < 0.1 rad
     about the origin (away from zeros), so winding sums are unambiguous.
     """
+    if int(d) != d or int(dprime) != dprime:
+        raise ValueError("d and d' must be integers")
     d, dprime = int(d), int(dprime)
     floor = max(
         16 * (abs(d) + abs(dprime) + 1),

@@ -494,6 +494,18 @@ def test_finite_difference_fallback_matches_table(params):
     assert degree_ray(hand, params).value == degree_ray(table, params).value
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_pre_dirac_degenerate_zeros_are_merged(d):
+    """square_power has four zeros of (h1, h2) at frac (1/4 or 3/4, 1/4 or 3/4),
+    of multiplicity d; Newton reaches them only linearly, and each counts once."""
+    pts = pre_dirac_points(builtin_model("square_power"), {"d": d})
+    assert all(q.degenerate and q.jac_sign == 0 for q in pts)
+    got = np.array([q.frac for q in pts])
+    near = np.round(got * 4) / 4
+    assert sorted(map(tuple, near)) == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
+    assert np.abs(got - near).max() < 1e-3
+
+
 def test_pre_dirac_requires_two_band_field():
     with pytest.raises(ModelError):
         pre_dirac_points(builtin_model("kagome"))

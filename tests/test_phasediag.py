@@ -8,14 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import chernkit
 from chernkit import phasediag
 from chernkit.models import SQUARE_ZONE, BlochModel, ModelError, builtin_model
+from chernkit.invariants import DegenerateFamilyError, chern_berry_lattice
 from chernkit.phasediag import (
     DEGENERATE,
     _covering_radius,
     FanDiagram,
+    critical_points,
     dirac_count,
     fan_family,
     locate_transition,
@@ -261,8 +264,9 @@ def test_locate_transition_bhz():
         assert abs(x - want) < 1e-8, (lo, hi)
 
 
-def test_locate_transition_brent_budget(monkeypatch):
-    """After the 65-point pre-scan, Brent needs few pre-Dirac solves."""
+def test_locate_transition_solves_pre_dirac_twice(monkeypatch):
+    """The zero curves are traced from the pre-Dirac points at the two ends
+    of the bracket, one solve each."""
     calls = []
     original = phasediag.pre_dirac_points
 
@@ -276,7 +280,27 @@ def test_locate_transition_brent_budget(monkeypatch):
         calls.clear()
         x = locate_transition(b, "m", lo, hi)
         assert abs(x - want) < 1e-12, (lo, hi)
-        assert len(calls) <= 85, (lo, hi)
+        assert len(calls) <= 2, (lo, hi)
+
+
+def test_locate_transition_returns_the_smallest_closing():
+    """haldane3nn at the default t3 closes at m = 1.4316 (three new Dirac
+    points) before the K point closes at 3 sqrt(3)/2."""
+    h = builtin_model("haldane3nn")
+    assert abs(locate_transition(h, "m", 1.0, 3.0) - 1.431593014419171) < 1e-9
+    assert abs(locate_transition(h, "m", 2.0, 3.0) - 3.0 * SQRT3 / 2) < 1e-12
+
+
+def test_locate_transition_closing_at_bracket_end():
+    b = builtin_model("bhz_square")
+    assert locate_transition(b, "m", 0.0, 1.0) == 0.0
+    assert locate_transition(b, "m", -1.0, 0.0) == 0.0
+
+
+def test_locate_transition_degenerate_zeros():
+    """square_power at d = 2 touches at double zeros of (h1, h2)."""
+    x = locate_transition(builtin_model("square_power"), "m0", -0.3, 0.2, params={"d": 2})
+    assert abs(x + 0.25) < 1e-9
 
 
 def test_locate_transition_kagome_three_band():
@@ -289,6 +313,100 @@ def test_locate_transition_requires_sign_change():
     h = builtin_model("haldane")
     with pytest.raises(ModelError):
         locate_transition(h, "m", 0.0, 1.0)
+
+
+def _berry_jump(model, axis, lo, hi, params=None, grid=120):
+    p = model.params_with_defaults(params)
+    c = [chern_berry_lattice(model, {**p, axis: x}, grid=grid).value for x in (lo, hi)]
+    return c[1] - c[0]
+
+
+@pytest.mark.parametrize(
+    "name, axis, lo, hi, params, want, charges",
+    [
+        ("haldane", "m", 2.0, 3.0, None, [3.0 * SQRT3 / 2], [1]),
+        ("bhz_square", "m", -1.0, 1.0, None, [0.0, 0.0], [-1, -1]),
+        ("mb_dirac", "M", -0.5, 0.5, None, [0.0], [1]),
+        ("mb_dirac", "M", 0.5, 1.5, None, [1.0, 1.0], [-1, -1]),
+        ("haldane3nn", "t3", 0.0, 1.0, {"m": 0.0}, [1 / 3] * 3, [1, 1, 1]),
+    ],
+)
+def test_critical_points_closed_forms(name, axis, lo, hi, params, want, charges):
+    """Closing values, charges, and Delta C = -sum q against Berry at the ends."""
+    model = builtin_model(name)
+    zeros = critical_points(model, axis, lo, hi, params)
+    assert [z.charge for z in zeros] == charges
+    assert np.allclose([z.param for z in zeros], want, rtol=0, atol=1e-9)
+    p = model.params_with_defaults(params)
+    for z in zeros:
+        assert np.linalg.norm(model.field({**p, axis: z.param}, *z.k)) < 1e-9
+    assert _berry_jump(model, axis, lo, hi, params) == -sum(charges)
+
+
+def test_critical_points_bhz_dirac_points():
+    zeros = critical_points(builtin_model("bhz_square"), "m", -1.0, 1.0)
+    assert sorted(tuple(np.round(z.k / np.pi, 12) % 2) for z in zeros) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize(
+    "name, axis, lo, hi, params",
+    [
+        ("triangular", "m", 2.0, 3.0, None),
+        ("haldane3nn", "m", 1.0, 2.0, None),
+        ("haldane_n", "m", 2.0, 3.0, None),
+        ("square_power", "m0", -0.5, 0.0, None),
+        ("bhz_square", "m", -3.0, 3.0, None),
+    ],
+)
+def test_critical_points_bound_the_chern_jump(name, axis, lo, hi, params):
+    """The paper's lower bound: a bracket holds at least |Delta C| closings."""
+    model = builtin_model(name)
+    zeros = critical_points(model, axis, lo, hi, params)
+    jump = _berry_jump(model, axis, lo, hi, params)
+    assert jump == -sum(z.charge for z in zeros)
+    assert len(zeros) >= abs(jump)
+
+
+def test_critical_points_degenerate_zero_has_no_charge():
+    zeros = critical_points(builtin_model("square_power"), "m0", -0.3, 0.2, {"d": 2})
+    assert [(round(z.param, 9), z.charge) for z in zeros] == [(-0.25, None)]
+
+
+def test_critical_points_refuses_a_missed_closing(monkeypatch):
+    """A pre-Dirac point lost at one end breaks sum q = deg(hi) - deg(lo)."""
+    original = phasediag.pre_dirac_points
+
+    def losing(model, params):
+        pts = original(model, params)
+        return pts[:-1] if params["m"] > 0 else pts
+
+    monkeypatch.setattr(phasediag, "pre_dirac_points", losing)
+    with pytest.raises(DegenerateFamilyError, match="missed"):
+        critical_points(builtin_model("bhz_square"), "m", -1.0, 1.0)
+
+
+def test_critical_points_require_two_band_field():
+    with pytest.raises(ModelError):
+        critical_points(builtin_model("kagome"), "u1", 1.0, 2.5)
+    with pytest.raises(ModelError):
+        critical_points(builtin_model("haldane"), "m", 1.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.floats(-2.5, 2.5),
+    t2=st.floats(0.2, 1.0),
+    start=st.floats(-math.pi, math.pi),
+)
+def test_charges_cancel_around_a_closed_phi_loop(m, t2, start):
+    """Haldane is 2 pi periodic in phi, so C returns to its start value and the
+    charges of the closings met along one period sum to zero."""
+    lobe = 3.0 * SQRT3 * t2
+    assume(abs(abs(m) - lobe * abs(math.sin(start))) > 1e-3)  # the loop starts off a closing
+    assume(abs(abs(m) - lobe) > 1e-3)  # the closings are simple
+    zeros = critical_points(builtin_model("haldane"), "phi", start, start + TWO_PI, {"m": m, "t2": t2})
+    assert sum(z.charge for z in zeros) == 0
+    assert len(zeros) == (4 if abs(m) < lobe else 0)
 
 
 def test_locate_transition_multiband_refuses_open_gap():
@@ -401,6 +519,13 @@ def test_rose_sample_density_floor():
     assert r.curve().closed
 
 
+def test_rose_curve_refuses_fractional_degrees():
+    for d, dp in [(2.5, 1), (1, 0.5)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            rose_curve(d, dp, 0.5)
+    assert rose_curve(2.0, 1, 0.5).d == 2
+
+
 def test_rose_k_exponent():
     assert rose_curve(5, 7, 0.5).k_rose == pytest.approx(1.0 / 6.0)
     assert rose_curve(3, -3, 0.5).k_rose is None
@@ -470,11 +595,13 @@ def test_adjacent_chamber_rule():
 
 
 def test_scipy_optimize_is_imported_only_by_refinement():
-    """The engines run without scipy.optimize; a scan's gap refinement loads it."""
+    """The engines and the 2-band locate_transition run without scipy.optimize;
+    a scan's gap refinement loads it."""
     script = """
 import sys
 import chernkit as ck
 ck.cross_validate(ck.builtin_model("haldane"))
+ck.locate_transition(ck.builtin_model("bhz_square"), "m", -1.0, 1.0)
 assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
 ck.scan(ck.builtin_model("bhz_square"), [("m", -1.0, 1.0, 3)])
 assert "scipy.optimize" in sys.modules, "scan did not load scipy.optimize"
