@@ -261,8 +261,9 @@ def _rotation_to_z(ray: np.ndarray) -> np.ndarray:
 
 def _rotated_model(model: BlochModel, R: np.ndarray) -> BlochModel:
     """The model with h -> R h; its (h1, h2) Jacobian is rows 1-2 of R J when the
-    model has the full Jacobian J, else the root finder's central differences."""
-    base, jac = model.field, model.jac
+    model has a table, whose Jacobian J is exact, else the root finder's central
+    differences."""
+    base, jac = model.field, None if model.table is None else model.table.jac
     return BlochModel(
         name=model.name + "_rot",
         bands=2,

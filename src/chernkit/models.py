@@ -1,43 +1,47 @@
 """Momentum-space Bloch Hamiltonian families (the model zoo).
 
-Every model is a :class:`BlochModel`: a named map from the momentum torus to a
-real coefficient vector in the Pauli basis (2 bands) or the Gell-Mann basis
-(3 bands), together with its Brillouin zone, neighbor geometry, parameter
-schema, and (for 2-band models) the analytic Jacobian of h: the root finder
+Every model is a :class:`BlochModel`: a named, parameterized Hermitian matrix
+H(k) on the momentum torus, together with its Brillouin zone, neighbor
+geometry and parameter schema.  A 2-band model also has its coefficient field
+h, with H = h . sigma + h0, and the analytic Jacobian of h: the root finder
 uses its (h1, h2) rows, and the ray engine rotates all three rows.
 
-Each builtin is a tight-binding Hamiltonian H(k) = sum_R T_R e^{ik.R} held as
-a :class:`HoppingTable`: a function of the params that returns the vectors R
-and, per R, complex coefficients over the basis components and the identity.
-The table derives ``field``, ``h0``, the exact Jacobians ``jac`` and ``jac12``,
-and ``gap_slope`` (a bound on how fast any band gap can change with k, which
-lets a phase scan certify a cell's gap from a grid), and gives ``assemble``
-every component in one pass.  Range families come from two rules on the terms:
-:func:`_dilated` (R -> (n1 Rx, n2 Ry), the model at k -> (n1 kx, n2 ky):
+Each builtin is a tight-binding Hamiltonian H(k) = Herm sum_R T_R e^{ik.R},
+with Herm A = (A + A^dagger) / 2, held as a :class:`HoppingTable`: a function
+of the params that returns the vectors R and the n x n matrices T_R.  2-band
+terms write each T_R as Pauli rows through :func:`_pauli`; kagome writes its
+three site-to-site hoppings.  The table gives ``assemble`` the whole matrix in
+one pass and ``gap_slope`` (a bound on how fast any band gap can change with
+k, which lets a phase scan certify a cell's gap from a grid); for 2 bands it
+also derives ``field``, ``h0`` and the exact Jacobians ``jac`` and ``jac12``.
+Range families come from rules on the terms: :func:`_dilated`
+(R -> (n1 Rx, n2 Ry), the model at k -> (n1 kx, n2 ky):
 ``scale_model(..., "all")``, the ``_n2`` builtins, ``spin_ssphere``,
-``torus_wind``) and :func:`_hopping` (R -> N R on the (h1, h2) terms:
-``haldane_n``, ``triangular_n``).  A new model is a terms function plus one
-``_CATALOG`` entry; a hand-written :class:`BlochModel` with its own callbacks
-works as well, but cannot be scaled.
+``torus_wind``), :func:`_hopping` (R -> N R on the inter-orbital terms:
+``haldane_n``, ``triangular_n``) and :func:`_folded` (the N x N super-cell of
+``fold_bands``).  A new model is a terms function plus one ``_CATALOG``
+entry; a hand-written 2-band :class:`BlochModel` with its own ``field``
+callback works as well, but cannot be scaled or folded.
 
 Honeycomb-family coefficient fields are written in the periodic gauge: the
 inter-sublattice amplitude carries a common phase exp(-i N k.a1) so the
 coefficient vector is exactly periodic under the reciprocal vectors.  This is
 a k-dependent U(1) rotation of (h1, h2); it moves no zeros and changes no
-Jacobian sign, gap, or Chern number.  The kagome matrix is periodic up to
-conjugation by fixed sign matrices (see ``geometry["gauge_matrices"]``);
-consumers that walk across the zone boundary must evaluate at the actual k
-rather than wrapping indices.
+Jacobian sign, gap, or Chern number.  The kagome and folded matrices are
+periodic up to conjugation by fixed unitaries, H(k + g) = S H(k) S^dagger
+(see ``geometry["gauge_matrices"]``); consumers that walk across the zone
+boundary must evaluate at the actual k rather than wrapping indices.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,27 +59,8 @@ SIGMA = np.array(
     dtype=complex,
 )
 
-# Gell-Mann matrices, lambda_1 .. lambda_8
-GELL_MANN = np.zeros((8, 3, 3), dtype=complex)
-GELL_MANN[0][0, 1] = GELL_MANN[0][1, 0] = 1
-GELL_MANN[1][0, 1] = -1j
-GELL_MANN[1][1, 0] = 1j
-GELL_MANN[2][0, 0] = 1
-GELL_MANN[2][1, 1] = -1
-GELL_MANN[3][0, 2] = GELL_MANN[3][2, 0] = 1
-GELL_MANN[4][0, 2] = -1j
-GELL_MANN[4][2, 0] = 1j
-GELL_MANN[5][1, 2] = GELL_MANN[5][2, 1] = 1
-GELL_MANN[6][1, 2] = -1j
-GELL_MANN[6][2, 1] = 1j
-GELL_MANN[7][0, 0] = GELL_MANN[7][1, 1] = 1 / SQRT3
-GELL_MANN[7][2, 2] = -2 / SQRT3
-
-#: the Pauli or Gell-Mann matrices and then the identity, flattened, by band count
-_BASIS = {
-    2: np.concatenate([SIGMA, np.eye(2)[None]]).reshape(4, 4),
-    3: np.concatenate([GELL_MANN, np.eye(3)[None]]).reshape(9, 9),
-}
+#: sigma_x, sigma_y, sigma_z and the identity: the components of a 2-band field
+PAULI = np.concatenate([SIGMA, np.eye(2)[None]])
 
 
 class ModelError(ValueError):
@@ -125,26 +110,21 @@ class BlochModel:
     lattice: str
     defaults: dict
     zone: BrillouinZone
-    #: coefficient map: (params, kx, ky) -> (..., 3) Pauli or (..., 8) Gell-Mann
+    #: 2-band Pauli coefficient map: (params, kx, ky) -> (..., 3); None for n > 2 bands
     field: Callable | None
     #: optional scalar sigma_0 / identity part
     h0: Callable | None = None
-    #: analytic d(h1,h2)/d(kx,ky), shape (..., 2, 2); 2-band builtins supply it,
+    #: analytic d(h1,h2)/d(kx,ky), shape (..., 2, 2); 2-band tables supply it,
     #: and the root finder falls back to central differences without it
     jac12: Callable | None = None
-    #: direct matrix map for models without a coefficient field (band folding)
-    matrix_fn: Callable | None = None
     geometry: dict = dc_field(default_factory=dict)
     #: "exact" or "conjugate" (periodic only up to fixed unitary conjugation)
     periodicity: str = "exact"
     #: name of the builtin implementing the hopping-only range-N family
     hopping_family: str | None = None
-    #: (params with defaults) -> upper bound on |grad_k| of every band gap; None
-    #: when unknown (the certified scan then refines every cell)
-    gap_slope: Callable | None = None
-    #: analytic dh/d(kx,ky), shape (..., 3, 2), of which ``jac12`` is rows 1-2;
-    #: 2-band builtins supply it so that rotated rays get exact Jacobians too
-    jac: Callable | None = None
+    #: the hopping table the model is built from; None for a hand-built 2-band
+    #: model, which has no ``gap_slope`` and cannot be scaled or folded
+    table: HoppingTable | None = None
 
     def params_with_defaults(self, params: dict | None) -> dict:
         p = dict(self.defaults)
@@ -169,20 +149,18 @@ def eval_field(model: BlochModel, params: dict | None, k) -> np.ndarray:
 
 
 def assemble(model: BlochModel, params: dict | None, k) -> np.ndarray:
-    """Hermitian matrix value H(k)."""
+    """Hermitian matrix value H(k): the table's sum, or h . sigma (+ h0) for a
+    hand-built 2-band model."""
     p = model.params_with_defaults(params)
     k = np.asarray(k, dtype=float)
     kx, ky = k[..., 0], k[..., 1]
-    if model.matrix_fn is not None:
-        return model.matrix_fn(p, kx, ky)
-    if isinstance(model.field, HoppingTable) and model.h0 is model.field.h0:
-        c = model.field._sum(p, kx, ky)  # every component from one evaluation of the phases
-        return (c @ _BASIS[model.bands]).reshape(c.shape[:-1] + (model.bands, model.bands))
-    h = model.field(p, kx, ky)
-    basis = SIGMA if model.bands == 2 else GELL_MANN
-    H = np.einsum("...i,ijk->...jk", h, basis)
+    if model.table is not None:
+        return model.table.matrix(p, kx, ky)
+    if model.bands != 2 or model.field is None:
+        raise ModelError(f"model {model.name} has neither a hopping table nor a 2-band field")
+    H = np.einsum("...i,ijk->...jk", model.field(p, kx, ky), SIGMA)
     if model.h0 is not None:
-        H = H + model.h0(p, kx, ky)[..., None, None] * np.eye(model.bands)
+        H = H + model.h0(p, kx, ky)[..., None, None] * np.eye(2)
     return H
 
 
@@ -212,85 +190,129 @@ def gap(model: BlochModel, params: dict | None, k, band: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 
-class HoppingTable:
-    """A Bloch Hamiltonian as a finite Fourier series H(k) = sum_R T_R e^{ik.R}.
+class _Compiled(NamedTuple):
+    """A table's terms at one params, folded by :func:`_fold`."""
 
-    ``terms(p)`` returns vectors R, shape (T, 2), and coefficients C, shape
-    (T, K): component c is Re sum_R C[R, c] e^{ik.R}, over the Pauli (K = 4) or
-    Gell-Mann (K = 9) components and then the identity.  The table is a model's
-    ``field``; it keeps the terms of the last params, folded by :func:`_fold`,
-    for the root finder.
+    Rx: np.ndarray
+    Ry: np.ndarray
+    #: the coefficients T_R, shape (T, n, n)
+    T: np.ndarray
+    #: [T_R; T_R^dagger] / 2 flattened, so that H(k) = [e^{ik.R}, e^{-ik.R}] @ pm
+    pm: np.ndarray
+    #: 2 bands only: the Pauli and identity components, shape (T, 4), and the
+    #: k-derivatives i R c of the first three, shape (T, 6)
+    C: np.ndarray | None
+    dC: np.ndarray | None
+
+
+class HoppingTable:
+    """A Bloch Hamiltonian as a finite Fourier series H(k) = Herm sum_R T_R e^{ik.R}.
+
+    ``terms(p)`` returns vectors R, shape (T, 2), and n x n coefficients T_R,
+    shape (T, n, n); Herm A = (A + A^dagger) / 2.  The compiled terms are
+    cached for the last few params.  For 2 bands the compile step also
+    projects each T_R on the Pauli matrices and the identity,
+    c = tr(P_c T_R) / 2, so that component c of the field is
+    Re sum_R c e^{ik.R} and its Jacobian is Re sum_R i R c e^{ik.R}.
     """
 
-    def __init__(self, terms: Callable, h0: bool = False):
+    def __init__(self, terms: Callable):
         self.terms = terms
-        self.h0 = self._identity if h0 else None
-        self._last: tuple = (None, None)
+        self._cached = functools.lru_cache(maxsize=4)(self._compile)
 
-    def _compiled(self, p) -> tuple:
-        key = tuple(p.items())
-        last_key, compiled = self._last
-        if key != last_key:
-            R, C = _fold(*self.terms(p))
+    def _compile(self, key: tuple) -> _Compiled:
+        R, T = _fold(*self.terms(dict(key)))
+        pm = np.concatenate([T, T.conj().swapaxes(-1, -2)]).reshape(2 * len(T), -1) / 2
+        C = dC = None
+        if T.shape[-1] == 2:
+            C = np.einsum("cji,tij->tc", PAULI, T) / 2
             dC = (C[:, :3, None] * (1j * R[:, None, :])).reshape(len(R), 6)
-            compiled = (R[:, 0].copy(), R[:, 1].copy(), C, dC)
-            self._last = (key, compiled)
-        return compiled
+        return _Compiled(R[:, 0].copy(), R[:, 1].copy(), T, pm, C, dC)
 
-    def _sum(self, p, kx, ky, jac: bool = False) -> np.ndarray:
-        """All components at k, or d(h1, h2, h3)/d(kx, ky) = Re sum_R i R C e^{ik.R} flattened."""
-        Rx, Ry, C, dC = self._compiled(p)
+    def _compiled(self, p) -> _Compiled:
+        return self._cached(tuple(p.items()))
+
+    @staticmethod
+    def _phases(c: _Compiled, kx, ky) -> np.ndarray:
+        """e^{ik.R} for every term, shape (..., T)."""
         kx = np.asarray(kx, dtype=float)[..., None]
         ky = np.asarray(ky, dtype=float)[..., None]
-        ph = 1j * (kx * Rx + ky * Ry)
-        np.exp(ph, out=ph)
-        return (ph @ (dC if jac else C)).real
+        ph = 1j * (kx * c.Rx + ky * c.Ry)
+        return np.exp(ph, out=ph)
 
-    def gap_slope(self, p) -> float:
-        """Upper bound 2 kappa sum_R |R| sigma_R on |grad_k| of any band gap.
+    def matrix(self, p, kx, ky) -> np.ndarray:
+        """H(k), shape (..., n, n): Herm(T e^{ik.R}) = (T e^{ik.R} + T^dagger e^{-ik.R}) / 2."""
+        c = self._compiled(p)
+        ph = self._phases(c, kx, ky)
+        H = np.concatenate([ph, ph.conj()], axis=-1) @ c.pm
+        return H.reshape(ph.shape[:-1] + c.T.shape[1:])
 
-        The traceless part moves along a unit direction u at rate
-        Re sum_R i (u.R) C_R e^{ik.R}, whose norm is at most sum_R |R| sigma_R
-        with sigma_R the largest singular value of [Re C_R, Im C_R] over the
-        non-identity components.  A coefficient vector v gives a matrix of
-        operator norm kappa |v| (1 for Pauli, 2/sqrt 3 for Gell-Mann), and by
-        Weyl's inequality a gap moves at most twice as fast as the matrix.
-        """
-        Rx, Ry, C, _ = self._compiled(p)
-        parts = np.stack([C[:, :-1].real, C[:, :-1].imag], axis=-1)
-        sigma = np.linalg.svd(parts, compute_uv=False)[:, 0]
-        kappa = 1.0 if C.shape[1] == 4 else 2.0 / SQRT3
-        return float(2.0 * kappa * np.hypot(Rx, Ry) @ sigma)
+    def _sum(self, p, kx, ky, jac: bool = False) -> np.ndarray:
+        """The 2-band components at k, or d(h1, h2, h3)/d(kx, ky) flattened."""
+        c = self._compiled(p)
+        return (self._phases(c, kx, ky) @ (c.dC if jac else c.C)).real
 
-    def __call__(self, p, kx, ky) -> np.ndarray:
+    def field(self, p, kx, ky) -> np.ndarray:
         return self._sum(p, kx, ky)[..., :-1]
 
-    def _identity(self, p, kx, ky) -> np.ndarray:
+    def h0(self, p, kx, ky) -> np.ndarray:
         return self._sum(p, kx, ky)[..., -1]
 
     def jac(self, p, kx, ky) -> np.ndarray:
+        """dh/d(kx, ky), shape (..., 3, 2)."""
         J = self._sum(p, kx, ky, jac=True)
         return J.reshape(J.shape[:-1] + (3, 2))
 
     def jac12(self, p, kx, ky) -> np.ndarray:
         return self.jac(p, kx, ky)[..., :2, :]
 
+    def gap_slope(self, p) -> float:
+        """Upper bound 2 sum_R |R| w(T_R°) on |grad_k| of any band gap.
 
-def _fold(R, C) -> tuple[np.ndarray, np.ndarray]:
+        Along a unit direction u the traceless part of H moves at rate
+        Herm sum_R i (u.R) T_R° e^{ik.R}, with T° = T - tr(T)/n.  The norm of
+        Herm A is at most the numerical radius w(A), and w is a norm that
+        ignores phases, so that rate is at most sum_R |R| w(T_R°); by Weyl's
+        inequality a gap moves at most twice as fast.  For 2 bands,
+        w(c . sigma) is the largest singular value of [Re c, Im c].  For n > 2,
+        w is bounded from above by the support lines of the field of values at
+        64 angles: the largest eigenvalue of Herm(e^{i theta} T°) over those
+        angles, divided by cos(pi/64).
+        """
+        Rx, Ry, T, _, C, _ = self._compiled(p)
+        if C is not None:
+            parts = np.stack([C[:, :3].real, C[:, :3].imag], axis=-1)
+            w = np.linalg.svd(parts, compute_uv=False)[:, 0]
+        else:
+            n = T.shape[-1]
+            A = T - np.trace(T, axis1=-2, axis2=-1)[:, None, None] / n * np.eye(n)
+            A = np.exp(1j * np.pi * np.arange(64) / 32)[:, None, None, None] * A
+            top = np.linalg.eigvalsh((A + A.conj().swapaxes(-1, -2)) / 2)[..., -1]
+            w = top.max(axis=0) / math.cos(math.pi / 64)
+        return float(2.0 * np.hypot(Rx, Ry) @ w)
+
+
+def _pauli(rows) -> np.ndarray:
+    """2x2 coefficients sum_c C[R, c] P_c from rows over (sigma_x, sigma_y, sigma_z, 1)."""
+    return np.einsum("tc,cij->tij", np.asarray(rows, dtype=complex), PAULI)
+
+
+def _fold(R, T) -> tuple[np.ndarray, np.ndarray]:
     """Terms with each -R folded into +R and equal R merged.
 
-    Re(c e^{-ik.R}) = Re(conj(c) e^{ik.R}), so a term in the lower half-plane
-    becomes its mirror with the conjugate coefficient; the table then costs
-    one exponential per distinct +-R pair.
+    Herm(T e^{-ik.R}) = Herm(T^dagger e^{ik.R}), so a term in the lower
+    half-plane becomes its mirror with the adjoint coefficient; the table then
+    costs one exponential per distinct +-R pair.
     """
     R = np.asarray(R, dtype=float).reshape(-1, 2)
-    C = np.asarray(C, dtype=complex)
+    T = np.asarray(T, dtype=complex)
     flip = (R[:, 1] < 0) | ((R[:, 1] == 0) & (R[:, 0] < 0))
     R = np.where(flip[:, None], -R, R)
-    C = np.where(flip[:, None], C.conj(), C)
-    _, first, group = np.unique(np.round(R, 9), axis=0, return_index=True, return_inverse=True)
-    merged = np.zeros((len(first), C.shape[1]), dtype=complex)
-    np.add.at(merged, group.ravel(), C)
+    T = np.where(flip[:, None, None], T.conj().swapaxes(-1, -2), T)
+    key = np.round(R[:, 0], 9) + 1j * np.round(R[:, 1], 9)  # sorts as the rows (x, y) do
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    merged = np.zeros((len(first),) + T.shape[1:], dtype=complex)
+    np.add.at(merged, group.ravel(), T)
     return R[first], merged
 
 
@@ -325,6 +347,7 @@ _HONEYCOMB_R = np.concatenate(
 )
 _TRIANGULAR_R = np.concatenate([TRI_W_SIGNS[:, None] * TRI_W, TRI_U, [[0.0, 0.0]]])
 _SQUARE_R = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_KAGOME_BONDS = ((0, 1), (0, 2), (1, 2))
 
 
 def _honeycomb(p):
@@ -335,7 +358,7 @@ def _honeycomb(p):
     rows = [[t, -1j * t, p["m"], 0], [t, -1j * t, 0, 0], [t, -1j * t, 0, 0], b, b, b]
     if "t3" in p:
         rows += [[p["t3"], -1j * p["t3"], 0, 0]] * 3
-    return _HONEYCOMB_R[: len(rows)], rows
+    return _HONEYCOMB_R[: len(rows)], _pauli(rows)
 
 
 def _triangular(p):
@@ -344,31 +367,34 @@ def _triangular(p):
     t, s = p["t1"], 2 * p["t2"]
     sin, cos = 1j * s * math.sin(p["phi"]), s * math.cos(p["phi"])
     u = [[0, 0, sg * sin, sg * cos] for sg in TRI_U_SIGNS]
-    return _TRIANGULAR_R, [[-t, 1j * t, 0, 0]] * 3 + u + [[0, 0, p["m"], 0]]
+    return _TRIANGULAR_R, _pauli([[-t, 1j * t, 0, 0]] * 3 + u + [[0, 0, p["m"], 0]])
 
 
 def _kagome(p):
-    """Gell-Mann pairs (1, 2), (4, 5), (6, 7): -2 (t1, u1) cos(k.a_j), u1 negated on (4, 5)."""
-    t, u = -2 * p["t1"], -2 * p["u1"]
-    rows = [[t, u, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, t, -u, 0, 0, 0, 0]]
-    return KAGOME_A, rows + [[0, 0, 0, 0, 0, t, u, 0, 0]]
+    """Sites 0-1, 0-2 and 1-2 hop across +-a_1, +-a_2 and +-a_3: H_ij = z cos(k.a_j)
+    with z = -2 (t1 - i u1), conjugated on the 0-2 bond."""
+    z = -2 * complex(p["t1"], -p["u1"])
+    T = np.zeros((3, 3, 3), dtype=complex)
+    for j, ((a, b), w) in enumerate(zip(_KAGOME_BONDS, (z, z.conjugate(), z))):
+        T[j, a, b], T[j, b, a] = w, w.conjugate()
+    return KAGOME_A, T
 
 
 def _bhz(p):
     """h = (t1 sin kx, t1 sin ky, m - t1 cos kx - t1 cos ky)."""
     t = p["t1"]
-    return _SQUARE_R, [[0, 0, p["m"], 0], [-1j * t, 0, -t, 0], [0, -1j * t, -t, 0]]
+    return _SQUARE_R, _pauli([[0, 0, p["m"], 0], [-1j * t, 0, -t, 0], [0, -1j * t, -t, 0]])
 
 
 def _mb_dirac(p):
     """h = (sin kx, sin ky, M - B sin^2(kx/2) - B sin^2(ky/2))."""
     b = p["B"] / 2
-    return _SQUARE_R, [[0, 0, p["M"] - p["B"], 0], [-1j, 0, b, 0], [0, -1j, b, 0]]
+    return _SQUARE_R, _pauli([[0, 0, p["M"] - p["B"], 0], [-1j, 0, b, 0], [0, -1j, b, 0]])
 
 
 def _collapse(p):
     """The fixed smooth degree-one map -(sin kx, sin ky, cos kx + cos ky - 1)."""
-    return _SQUARE_R, [[0, 0, 1, 0], [1j, 0, -1, 0], [0, 1j, -1, 0]]
+    return _SQUARE_R, _pauli([[0, 0, 1, 0], [1j, 0, -1, 0], [0, 1j, -1, 0]])
 
 
 def _square_power(p):
@@ -385,7 +411,7 @@ def _square_power(p):
             w = c * math.comb(d - j, l) * math.comb(j, m)
             R.append([[d - j - 2 * l, j - 2 * m]])
             rows.append([w, -1j * w, 0, 0])
-    return np.concatenate(R), rows
+    return np.concatenate(R), _pauli(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +431,21 @@ def _dilated(terms: Callable, ns: tuple) -> Callable:
     ``ns`` is an integer or the name of an integer parameter."""
 
     def scaled(p):
-        R, rows = terms(p)
+        R, T = terms(p)
         n = [_integer(p, x) if isinstance(x, str) else x for x in ns]
-        return np.asarray(R, dtype=float) * n, rows
+        return np.asarray(R, dtype=float) * n, T
 
     return scaled
 
 
 def _hopping(terms: Callable) -> Callable:
-    """R -> N R, N = p["N"], on the terms with an (h1, h2) part: the hopping-only family."""
+    """R -> N R, N = p["N"], on the terms that hop between orbitals (off-diagonal
+    T_R; for 2 bands, the (h1, h2) part): the hopping-only family."""
 
     def scaled(p):
-        R, rows = terms(p)
-        C = np.asarray(rows, dtype=complex)
-        return np.where(C[:, :2].any(axis=1)[:, None], _integer(p, "N") * R, R), C
+        R, T = terms(p)
+        hops = (T * (1 - np.eye(T.shape[-1]))).any(axis=(1, 2))
+        return np.where(hops[:, None], _integer(p, "N") * R, R), T
 
     return scaled
 
@@ -432,15 +459,18 @@ _KAGOME = {"t1": 1.0, "u1": 1.0}
 _POWER = {"alpha": 1.0, "beta": 1.0, "gamma1": 0.5, "gamma2": 0.25, "m0": 0.0, "d": 1}
 
 
-def _table_fields(table: HoppingTable, bands: int) -> dict:
-    """The model callbacks a table derives; the Jacobians only for 2 bands."""
-    jac, jac12 = (table.jac, table.jac12) if bands == 2 else (None, None)
-    return dict(field=table, h0=table.h0, jac12=jac12, jac=jac, gap_slope=table.gap_slope)
+def _table_fields(terms: Callable, bands: int, h0: bool) -> dict:
+    """A table on ``terms`` and the callbacks it derives: a field, with ``h0``
+    when asked for, and the (h1, h2) Jacobian only for 2 bands."""
+    table = HoppingTable(terms)
+    if bands != 2:
+        return dict(field=None, h0=None, jac12=None, table=table)
+    return dict(field=table.field, h0=table.h0 if h0 else None, jac12=table.jac12, table=table)
 
 
 def _model(name, terms, lattice, defaults, bands=2, h0=False, **fields) -> BlochModel:
     zone = _ZONES.get(lattice, SQUARE_ZONE)
-    table = _table_fields(HoppingTable(terms, h0), bands)
+    table = _table_fields(terms, bands, h0)
     return BlochModel(name, bands, lattice, dict(defaults), zone, **table, **fields)
 
 
@@ -540,12 +570,12 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
                 "prime divides it (or the sublattice species do not match), so the "
                 "range-N shell does not replicate the nearest-neighbor structure"
             )
-        if not isinstance(model.field, HoppingTable):
+        if model.table is None:
             raise ModelError(f"model {model.name} is not a hopping table and cannot be scaled")
-        table = HoppingTable(_dilated(model.field.terms, (N, N)), model.field.h0 is not None)
+        terms = _dilated(model.table.terms, (N, N))
         return dataclasses.replace(
             model, name=f"{model.name}_scaled{N}", hopping_family=None,
-            **_table_fields(table, model.bands)
+            **_table_fields(terms, model.bands, model.h0 is not None),
         )
     if which == "hopping_only":
         if model.hopping_family is None:
@@ -563,9 +593,36 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
     raise ModelError(f"which must be 'all' or 'hopping_only', got {which!r}")
 
 
+def _folded(terms: Callable, N: int) -> Callable:
+    """Term R moves cell s of the N x N super-cell to (s + R) mod N: T'_R = P_R (x) T_R
+    with P_R that cell shift, and R unchanged.  The P_R commute and are diagonal in
+    the cells' Fourier basis, with e^{-iv.R} on the shift v, so H'(k) is unitarily
+    equivalent to the block-diagonal sum of H(k + v) over the N^2 shifts v."""
+    cells = np.array(list(itertools.product(range(N), repeat=2)))
+
+    def folded(p):
+        R, T = terms(p)
+        R = np.asarray(R, dtype=float).reshape(-1, 2)
+        Ri = np.round(R).astype(int)
+        if not np.array_equal(Ri, R):
+            raise ModelError("fold_bands needs integer lattice vectors R")
+        to = ((cells[None] + Ri[:, None]) % N) @ [N, 1]  # (T, N^2) target cell indices
+        P = np.eye(N * N)[to].swapaxes(1, 2)  # P[t, to[t, s], s] = 1
+        n = N * N * T.shape[-1]
+        return R, np.einsum("tab,tij->taibj", P, T).reshape(len(R), n, n)
+
+    return folded
+
+
 def fold_bands(model: BlochModel, N: int) -> BlochModel:
-    """Super-cell block model: eigenvalues at k are the union over the N^2
-    reciprocal shifts v of the original spectra at k + v (square zones only)."""
+    """Super-cell table model: its eigenvalues at k are the union over the N^2
+    reciprocal shifts v of the original spectra at k + v (square zones only).
+
+    The folded matrix is periodic on the folded zone up to conjugation by the
+    cell phases e^{2 pi i s_x / N} and e^{2 pi i s_y / N}
+    (``geometry["gauge_matrices"]``, with H(k + g) = S H(k) S^dagger)."""
+    if model.table is None:
+        raise ModelError(f"model {model.name} is not a hopping table and cannot be folded")
     if N <= 0 or int(N) != N:
         raise ModelError("N must be a positive integer")
     N = int(N)
@@ -576,29 +633,18 @@ def fold_bands(model: BlochModel, N: int) -> BlochModel:
         raise ModelError("fold_bands requires a square 2pi x 2pi zone")
     if N == 1:
         return model
-    shifts = [
-        (2 * math.pi * i / N, 2 * math.pi * j / N) for i in range(N) for j in range(N)
-    ]
-    nb = model.bands
-
-    def matrix_fn(p, kx, ky):
-        kx = np.asarray(kx, dtype=float)
-        ky = np.asarray(ky, dtype=float)
-        out = np.zeros(np.broadcast(kx, ky).shape + (nb * N * N, nb * N * N), dtype=complex)
-        for idx, (vx, vy) in enumerate(shifts):
-            blk = assemble(model, p, np.stack(np.broadcast_arrays(kx + vx, ky + vy), axis=-1))
-            out[..., idx * nb : (idx + 1) * nb, idx * nb : (idx + 1) * nb] = blk
-        return out
-
+    nb = model.bands * N * N
+    phases = np.exp(2j * math.pi / N * np.array(list(itertools.product(range(N), repeat=2))))
+    gauge = tuple(np.diag(np.repeat(phases[:, i], model.bands)) for i in (0, 1))
     return BlochModel(
         name=f"{model.name}_folded{N}",
-        bands=nb * N * N,
+        bands=nb,
         lattice=model.lattice,
         defaults=model.defaults,
         zone=BrillouinZone(g1=zone.g1 / N, g2=zone.g2 / N),
-        field=None,
-        matrix_fn=matrix_fn,
-        periodicity=model.periodicity,
+        geometry={"gauge_matrices": gauge},
+        periodicity="conjugate",
+        **_table_fields(_folded(model.table.terms, N), nb, False),
     )
 
 

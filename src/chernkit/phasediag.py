@@ -107,9 +107,9 @@ class Cell:
     A ``certified`` cell skipped the refinement: its Berry grid alone proves
     the gap open, and ``min_gap`` and ``min_gap_location`` are the grid
     minimum and its k.  The true minimum then lies in
-    ``[min_gap - slope * delta, min_gap]``, with ``slope`` the model's
-    ``gap_slope`` and ``delta`` the grid's covering radius.  Other cells carry
-    the refined minimum of :func:`minimum_gap`.
+    ``[min_gap - slope * delta, min_gap]``, with ``slope`` the ``gap_slope``
+    of the model's table and ``delta`` the grid's covering radius.  Other
+    cells carry the refined minimum of :func:`minimum_gap`.
     """
 
     index: tuple[int, ...]
@@ -158,7 +158,7 @@ def scan(
     """Label a 1D or 2D parameter grid with Chern numbers.
 
     ``axes`` is a list of one or two ``(name, lo, hi, n)`` tuples.  Each cell
-    runs the Berry engine first.  When the model has a ``gap_slope`` and the
+    runs the Berry engine first.  When the model is a hopping table and the
     Berry grid's minimum gap above ``band``, less the slope times the grid's
     covering radius, is at least the threshold, the gap is proven open and
     the cell is certified with the Berry value.  Other cells refine the gap
@@ -186,9 +186,9 @@ def scan(
         except (InvariantError, ModelError) as exc:
             berry = exc
         try:
-            if isinstance(berry, ChernResult) and model.gap_slope is not None:
+            if isinstance(berry, ChernResult) and model.table is not None:
                 gmin = berry.diagnostics["gap_above"]
-                slope = model.gap_slope(model.params_with_defaults(params))
+                slope = model.table.gap_slope(model.params_with_defaults(params))
                 if gmin - slope * _covering_radius(model.zone, int(grid)) >= degeneracy_threshold:
                     loc = berry.diagnostics["gap_above_k"]
                     return Cell(index, params, berry.value, gmin, loc, certified=True)
@@ -249,6 +249,16 @@ _MAX_STEPS = 4000
 _SEAM_TOL = 0.5 / 48
 
 
+def _check_axis(model: BlochModel, axis: str) -> None:
+    """A bracket's axis is a parameter that can vary continuously: one whose
+    default is an int (a range or a power) is refused by name."""
+    if axis not in model.defaults:
+        raise ModelError(f"{axis!r} is not a parameter of {model.name}")
+    default = model.defaults[axis]
+    if isinstance(default, int) and not isinstance(default, bool):
+        raise ModelError(f"{axis!r} is integer-valued and cannot vary along a bracket")
+
+
 def _ray_degree(pts) -> int | None:
     """The ray engine's degree from pre-Dirac points, None where it is undefined."""
     if any(q.degenerate or abs(q.h3) < 1e-9 for q in pts):
@@ -284,13 +294,13 @@ def critical_points(
     if model.bands != 2 or model.field is None:
         raise ModelError("critical_points requires a 2-band coefficient model")
     base = model.params_with_defaults(params)
-    if axis not in base:
-        raise ModelError(f"{axis!r} is not a parameter of {model.name}")
+    _check_axis(model, axis)
     lo, hi = sorted((float(lo), float(hi)))
     if lo == hi:
         raise ModelError(f"the bracket [{lo}, {hi}] is empty")
     width = hi - lo
     eps = 1e-6 * max(1.0, abs(lo), abs(hi))
+    jac = partial(_fd_jac, model) if model.table is None else model.table.jac
 
     def at(u):
         return {**base, axis: lo + width * float(u)}
@@ -301,7 +311,7 @@ def critical_points(
     def jacobian(y):
         """[dh/dkx, dh/dky, dh/du] at y = (kx, ky, u), shape (3, 3)."""
         p = at(y[2])
-        J = (model.jac or partial(_fd_jac, model))(p, y[:1], y[1:2])[0]
+        J = jac(p, y[:1], y[1:2])[0]
         up = {**p, axis: p[axis] + eps}
         down = {**p, axis: p[axis] - eps}
         dh = model.field(up, y[:1], y[1:2])[0] - model.field(down, y[:1], y[1:2])[0]
@@ -462,8 +472,7 @@ def locate_transition(
     """
     _check_gap_band(model, band)
     base = model.params_with_defaults(params)
-    if axis not in base:
-        raise ModelError(f"{axis!r} is not a parameter of {model.name}")
+    _check_axis(model, axis)
 
     if model.bands == 2 and model.field is not None:
         zeros = critical_points(model, axis, lo, hi, params)

@@ -42,6 +42,29 @@ with open(Path(__file__).parent / "data" / "pre_dirac_reference.json", encoding=
 RAYS = list(_ray_perturbations())
 
 
+def _gell_mann() -> np.ndarray:
+    """lambda_1 .. lambda_8: the off-diagonal pairs (1, 2), (4, 5), (6, 7) and the
+    diagonal lambda_3 and lambda_8."""
+    lam = np.zeros((8, 3, 3), dtype=complex)
+    for (re, im), (i, j) in zip([(0, 1), (3, 4), (5, 6)], [(0, 1), (0, 2), (1, 2)]):
+        lam[re, i, j] = lam[re, j, i] = 1
+        lam[im, i, j], lam[im, j, i] = -1j, 1j
+    lam[2] = np.diag([1, -1, 0])
+    lam[7] = np.diag([1, 1, -2]) / SQRT3
+    return lam
+
+
+GELL_MANN = _gell_mann()
+
+
+def coefficients(model, params, k):
+    """The field of a 2-band model; for 3 bands, the Gell-Mann coefficients
+    tr(lambda_a H) / 2 of the assembled matrix, as the reference recorded them."""
+    if model.bands == 2:
+        return eval_field(model, params, k)
+    return np.einsum("aji,...ij->...a", GELL_MANN, assemble(model, params, k)).real / 2
+
+
 def same_k(zone, k1, k2, tol=1e-5):
     """Momentum equality modulo the reciprocal lattice."""
     df = zone.frac(np.asarray(k1) - np.asarray(k2))
@@ -139,8 +162,10 @@ def test_bhz_field_at_origin():
 
 def test_kagome_field_at_origin():
     kg = builtin_model("kagome")
-    f = eval_field(kg, {"u1": 0.0}, (0.0, 0.0))
+    f = coefficients(kg, {"u1": 0.0}, (0.0, 0.0))
     assert np.allclose(f, [-2, 0, 0, -2, 0, -2, 0, 0])
+    with pytest.raises(ModelError, match="no coefficient field"):
+        eval_field(kg, None, (0.0, 0.0))
 
 
 def test_kagome_gapped_at_unit_couplings():
@@ -165,7 +190,7 @@ def test_kagome_gapless_at_u1_zero():
 def test_kagome_coefficients_span_rank_3():
     kg = builtin_model("kagome")
     ks = RNG.uniform(-4, 4, (300, 2))
-    F = eval_field(kg, None, ks)
+    F = coefficients(kg, None, ks)
     assert np.linalg.matrix_rank(F, tol=1e-8) == 3
 
 
@@ -189,13 +214,14 @@ def test_torus_wind_is_scaled_spin_map():
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_catalog_matches_recorded_reference(name):
     """Field, h0, Jacobian and matrix agree to 1e-12 with values recorded from
-    the hand-written catalog that the hopping tables replaced."""
+    the hand-written catalog that the hopping tables replaced; a 3-band field is
+    read off the matrix in the Gell-Mann basis."""
     model = builtin_model(name)
     for case in REFERENCE["models"][name]:
         p = model.params_with_defaults(case["params"])
         ks = np.array(case["k"])
         kx, ky = ks[:, 0], ks[:, 1]
-        got = {"field": model.field(p, kx, ky), "assemble": assemble(model, p, ks)}
+        got = {"field": coefficients(model, p, ks), "assemble": assemble(model, p, ks)}
         if model.h0 is not None:
             got["h0"] = model.h0(p, kx, ky)
         if model.jac12 is not None:
@@ -214,20 +240,25 @@ def test_catalog_matches_recorded_reference(name):
 def test_table_folds_mirror_terms(name, terms):
     """-R terms are folded into +R and equal R merged: one exponential per +-R pair."""
     model = builtin_model(name)
-    R, C = models._fold(*model.field.terms(model.defaults))
-    assert len(R) == terms == len(C)
+    R, T = models._fold(*model.table.terms(model.defaults))
+    assert len(R) == terms == len(T)
 
 
-SLOPE_MODELS = [(n, None) for n in TWO_BAND] + [("kagome", None), ("haldane", 2)]
+SLOPE_MODELS = [(n, None) for n in TWO_BAND] + [
+    ("kagome", None),
+    ("kagome_n2", None),
+    pytest.param("haldane", scale_model, id="haldane-2"),
+    pytest.param("bhz_square", fold_bands, id="bhz_square-folded2"),
+]
 
 
-@pytest.mark.parametrize("name, N", SLOPE_MODELS)
-def test_gap_slope_bounds_directional_derivative(name, N):
+@pytest.mark.parametrize("name, rule", SLOPE_MODELS)
+def test_gap_slope_bounds_directional_derivative(name, rule):
     """The central difference of every band gap along a random direction never
     exceeds ``gap_slope``, at random k and +-20% jittered float params."""
     model = builtin_model(name)
-    if N is not None:
-        model = scale_model(model, N)
+    if rule is not None:
+        model = rule(model, 2)
     rng = np.random.default_rng(20261018)
     eps = 1e-6
     for _ in range(8):
@@ -235,7 +266,7 @@ def test_gap_slope_bounds_directional_derivative(name, N):
             key: val * rng.uniform(0.8, 1.2) if isinstance(val, float) else val
             for key, val in model.defaults.items()
         }
-        slope = model.gap_slope(model.params_with_defaults(p))
+        slope = model.table.gap_slope(model.params_with_defaults(p))
         for k in rng.uniform(-6, 6, (25, 2)):
             u = rng.normal(size=2)
             u /= np.linalg.norm(u)
@@ -247,21 +278,29 @@ def test_gap_slope_bounds_directional_derivative(name, N):
 def test_gap_slope_is_attained_by_a_single_cosine():
     """h = (0, 0, m + t cos kx): the gap 2|m + t cos kx| changes at rate 2t at kx = pi/2."""
     model = models._model(
-        "cosine", lambda p: ([[0, 0], [1, 0]], [[0, 0, p["m"], 0], [0, 0, p["t"], 0]]),
+        "cosine",
+        lambda p: ([[0, 0], [1, 0]], models._pauli([[0, 0, p["m"], 0], [0, 0, p["t"], 0]])),
         "square", {"m": 0.5, "t": 1.3},
     )
     eps = 1e-6
     rise = gap(model, None, (math.pi / 2 - eps, 0.0)) - gap(model, None, (math.pi / 2 + eps, 0.0))
-    assert rise / (2 * eps) == pytest.approx(model.gap_slope(model.defaults), rel=1e-6)
-    assert model.gap_slope(model.defaults) == pytest.approx(2 * 1.3)
+    slope = model.table.gap_slope(model.defaults)
+    assert rise / (2 * eps) == pytest.approx(slope, rel=1e-6)
+    assert slope == pytest.approx(2 * 1.3)
 
 
 def test_gap_slope_only_where_it_is_known():
-    haldane = builtin_model("haldane")
-    assert scale_model(haldane, 2).gap_slope(haldane.defaults) == pytest.approx(
-        2 * haldane.gap_slope(haldane.defaults)
+    """Every table has a slope: scaling by N multiplies it by N; folding keeps each
+    |R| and each T_R up to a permutation, so only the 64-angle bound's 1/cos(pi/64)
+    is added.  A hand-built model has no table and no slope."""
+    haldane, bhz = builtin_model("haldane"), builtin_model("bhz_square")
+    assert _bhz_by_hand().table is None
+    assert scale_model(haldane, 2).table.gap_slope(haldane.defaults) == pytest.approx(
+        2 * haldane.table.gap_slope(haldane.defaults)
     )
-    assert fold_bands(builtin_model("bhz_square"), 2).gap_slope is None
+    assert fold_bands(bhz, 2).table.gap_slope(bhz.defaults) == pytest.approx(
+        bhz.table.gap_slope(bhz.defaults) / math.cos(math.pi / 64)
+    )
 
 
 def test_square_power_rejects_negative_degree():
@@ -530,7 +569,7 @@ def test_scale_all_matches_builtin_haldane_n2(base, builtin):
     scaled = scale_model(h, 3, "all")
     hn2 = builtin_model(builtin)
     ks = RNG.uniform(-4, 4, (50, 2))
-    assert np.allclose(eval_field(scaled, None, ks), eval_field(hn2, {"N": 3}, ks))
+    assert np.allclose(coefficients(scaled, None, ks), coefficients(hn2, {"N": 3}, ks))
     assert np.allclose(
         assemble(scaled, None, ks[:5]), assemble(hn2, {"N": 3}, ks[:5])
     )
@@ -549,7 +588,7 @@ def test_scale_all_is_base_at_dilated_k(base, N):
     p = h.params_with_defaults(None)
     ks = RNG.uniform(-4, 4, (20, 2))
     kx, ky = ks[:, 0], ks[:, 1]
-    assert np.allclose(scaled.field(p, kx, ky), h.field(p, N * kx, N * ky))
+    assert np.allclose(coefficients(scaled, p, ks), coefficients(h, p, N * ks))
     assert np.allclose(assemble(scaled, p, ks), assemble(h, p, N * ks))
     if h.jac12 is not None:
         assert np.allclose(scaled.jac12(p, kx, ky), N * h.jac12(p, N * kx, N * ky))
@@ -557,18 +596,16 @@ def test_scale_all_is_base_at_dilated_k(base, N):
 
 def test_every_catalog_model_is_a_hopping_table():
     for name in ALL_MODELS:
-        assert isinstance(builtin_model(name).field, models.HoppingTable), name
+        assert isinstance(builtin_model(name).table, models.HoppingTable), name
 
 
 def test_scale_all_needs_a_hopping_table():
-    bhz = builtin_model("bhz_square")
     hand_built = BlochModel(
         "hand", 2, "square", {}, SQUARE_ZONE,
         field=lambda p, kx, ky: np.zeros(np.shape(kx) + (3,)),
     )
-    for model in (fold_bands(bhz, 2), hand_built):
-        with pytest.raises(ModelError, match="hopping table"):
-            scale_model(model, 3, "all")
+    with pytest.raises(ModelError, match="hopping table"):
+        scale_model(hand_built, 3, "all")
 
 
 @pytest.mark.parametrize(
@@ -632,3 +669,31 @@ def test_fold_bands_rejections():
         fold_bands(builtin_model("bhz_square"), 0)
     with pytest.raises(ModelError):
         fold_bands(builtin_model("haldane"), 2)  # non-square zone
+    with pytest.raises(ModelError, match="hopping table"):
+        fold_bands(_bhz_by_hand(), 2)
+
+
+def test_fold_bands_is_periodic_up_to_the_cell_phases():
+    """H(k + g) = S H(k) S^dagger on the folded zone, and H(k + g) != H(k)."""
+    folded = fold_bands(builtin_model("bhz_square"), 2)
+    assert folded.periodicity == "conjugate"
+    S1, S2 = folded.geometry["gauge_matrices"]
+    for g, S in ((folded.zone.g1, S1), (folded.zone.g2, S2)):
+        for k in RNG.uniform(-3, 3, (10, 2)):
+            H, Hg = assemble(folded, None, k), assemble(folded, None, k + g)
+            assert np.allclose(Hg, S @ H @ S.conj().T, atol=1e-10)
+            assert np.abs(Hg - H).max() > 0.1
+
+
+@pytest.mark.parametrize("N", [3, -3])
+def test_folded_model_scales(N):
+    """scale_model of a folded table is the folded model at N k, with N times its slope."""
+    bhz = builtin_model("bhz_square")
+    folded = fold_bands(bhz, 2)
+    scaled = scale_model(folded, N, "all")
+    ks = RNG.uniform(-3, 3, (10, 2))
+    assert scaled.bands == 8
+    assert np.allclose(assemble(scaled, None, ks), assemble(folded, None, N * ks))
+    assert scaled.table.gap_slope(bhz.defaults) == pytest.approx(
+        abs(N) * folded.table.gap_slope(bhz.defaults)
+    )

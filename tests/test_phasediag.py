@@ -202,7 +202,7 @@ def test_certified_gap_brackets_refined_minimum(name, axes):
     assert certified and len(certified) < len(pd.cells)
     delta = _covering_radius(model.zone, 40)
     for c in certified:
-        slope = model.gap_slope(model.params_with_defaults(c.params))
+        slope = model.table.gap_slope(model.params_with_defaults(c.params))
         refined, _ = minimum_gap(model, c.params, kgrid=64)
         assert 1e-6 <= c.min_gap - slope * delta <= refined <= c.min_gap + 1e-9, c.params
     for c in pd.cells:
@@ -383,6 +383,25 @@ def test_critical_points_refuses_a_missed_closing(monkeypatch):
     monkeypatch.setattr(phasediag, "pre_dirac_points", losing)
     with pytest.raises(DegenerateFamilyError, match="missed"):
         critical_points(builtin_model("bhz_square"), "m", -1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["spin_ssphere", "square_power"])
+def test_critical_points_refuse_an_integer_axis(name, monkeypatch):
+    """An integer-valued parameter cannot vary along a bracket: refused by name,
+    before any pre-Dirac solve."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("pre_dirac_points was called")
+
+    monkeypatch.setattr(phasediag, "pre_dirac_points", unreachable)
+    for call in (critical_points, locate_transition):
+        with pytest.raises(ModelError, match="'d' is integer-valued"):
+            call(builtin_model(name), "d", 0, 1)
+
+
+def test_multi_band_locate_transition_refuses_an_integer_axis():
+    with pytest.raises(ModelError, match="'N' is integer-valued"):
+        locate_transition(builtin_model("kagome_n2"), "N", 1, 5)
 
 
 def test_critical_points_require_two_band_field():
