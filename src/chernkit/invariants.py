@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .models import BlochModel, ModelError, assemble, pre_dirac_points
+from .models import BlochModel, ModelError, _rotated, _with_terms, assemble, pre_dirac_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -224,7 +224,7 @@ def degree_integral(
     The band value is (-1)^(band+1) times the degree; the raw degree and the
     smallest |h| on the grid are kept in the diagnostics.
     """
-    if model.bands != 2 or model.field is None:
+    if model.bands != 2:
         raise MethodInapplicableError("degree_integral requires a 2-band coefficient model")
     if not 0 <= band <= 1:
         raise ModelError("band must be 0 or 1")
@@ -260,21 +260,9 @@ def _rotation_to_z(ray: np.ndarray) -> np.ndarray:
 
 
 def _rotated_model(model: BlochModel, R: np.ndarray) -> BlochModel:
-    """The model with h -> R h; its (h1, h2) Jacobian is rows 1-2 of R J when the
-    model has a table, whose Jacobian J is exact, else the root finder's central
-    differences."""
-    base, jac = model.field, None if model.table is None else model.table.jac
-    return BlochModel(
-        name=model.name + "_rot",
-        bands=2,
-        lattice=model.lattice,
-        defaults=model.defaults,
-        zone=model.zone,
-        field=lambda p, kx, ky: base(p, kx, ky) @ R.T,
-        jac12=None if jac is None else lambda p, kx, ky: R[:2] @ jac(p, kx, ky),
-        geometry=model.geometry,
-        periodicity=model.periodicity,
-    )
+    """The model with h -> R h, a table like any other."""
+    terms = _rotated(model.table.terms, R)
+    return _with_terms(model, terms, name=model.name + "_rot", hopping_family=None)
 
 
 def _ray_perturbations():
@@ -300,7 +288,7 @@ def degree_ray(
     degenerate pre-image is retried along a deterministic perturbation spiral
     about +z; ``diagnostics["ray"]`` is the ray that was used.
     """
-    if model.bands != 2 or model.field is None:
+    if model.bands != 2:
         raise MethodInapplicableError("degree_ray requires a 2-band coefficient model")
     if not 0 <= band <= 1:
         raise ModelError("band must be 0 or 1")

@@ -2,26 +2,25 @@
 
 Every model is a :class:`BlochModel`: a named, parameterized Hermitian matrix
 H(k) on the momentum torus, together with its Brillouin zone, neighbor
-geometry and parameter schema.  A 2-band model also has its coefficient field
-h, with H = h . sigma + h0, and the analytic Jacobian of h: the root finder
-uses its (h1, h2) rows, and the ray engine rotates all three rows.
+geometry and parameter schema, and held as a :class:`HoppingTable`: the
+tight-binding Hamiltonian H(k) = Herm sum_R T_R e^{ik.R}, with
+Herm A = (A + A^dagger) / 2, given by a function of the params that returns
+the vectors R and the n x n matrices T_R.  2-band terms write each T_R as
+Pauli rows through :func:`_pauli`; kagome writes its three site-to-site
+hoppings.  The table gives ``assemble`` the whole matrix in one pass and
+``gap_slope`` (a bound on how fast any band gap can change with k, which lets
+a phase scan certify a cell's gap from a grid).  For 2 bands it also derives
+the coefficient field h, with H = h . sigma + (tr H / 2) 1, and the exact
+Jacobians ``jac`` and ``jac12`` of h: the root finder uses the (h1, h2) rows.
 
-Each builtin is a tight-binding Hamiltonian H(k) = Herm sum_R T_R e^{ik.R},
-with Herm A = (A + A^dagger) / 2, held as a :class:`HoppingTable`: a function
-of the params that returns the vectors R and the n x n matrices T_R.  2-band
-terms write each T_R as Pauli rows through :func:`_pauli`; kagome writes its
-three site-to-site hoppings.  The table gives ``assemble`` the whole matrix in
-one pass and ``gap_slope`` (a bound on how fast any band gap can change with
-k, which lets a phase scan certify a cell's gap from a grid); for 2 bands it
-also derives ``field``, ``h0`` and the exact Jacobians ``jac`` and ``jac12``.
-Range families come from rules on the terms: :func:`_dilated`
+Range families and probes come from rules on the terms: :func:`_dilated`
 (R -> (n1 Rx, n2 Ry), the model at k -> (n1 kx, n2 ky):
 ``scale_model(..., "all")``, the ``_n2`` builtins, ``spin_ssphere``,
 ``torus_wind``), :func:`_hopping` (R -> N R on the inter-orbital terms:
-``haldane_n``, ``triangular_n``) and :func:`_folded` (the N x N super-cell of
-``fold_bands``).  A new model is a terms function plus one ``_CATALOG``
-entry; a hand-written 2-band :class:`BlochModel` with its own ``field``
-callback works as well, but cannot be scaled or folded.
+``haldane_n``, ``triangular_n``), :func:`_folded` (the N x N super-cell of
+``fold_bands``) and :func:`_rotated` (h -> R h, the ray engine's rotated
+probes).  A new model is a terms function plus one ``_CATALOG`` entry, or
+``BlochModel(name, bands, lattice, defaults, zone, HoppingTable(terms))``.
 
 Honeycomb-family coefficient fields are written in the periodic gauge: the
 inter-sublattice amplitude carries a common phase exp(-i N k.a1) so the
@@ -110,21 +109,25 @@ class BlochModel:
     lattice: str
     defaults: dict
     zone: BrillouinZone
-    #: 2-band Pauli coefficient map: (params, kx, ky) -> (..., 3); None for n > 2 bands
-    field: Callable | None
-    #: optional scalar sigma_0 / identity part
-    h0: Callable | None = None
-    #: analytic d(h1,h2)/d(kx,ky), shape (..., 2, 2); 2-band tables supply it,
-    #: and the root finder falls back to central differences without it
+    #: the hopping table the model is built from
+    table: HoppingTable
+    #: 2-band Pauli coefficient map (params, kx, ky) -> (..., 3) and its analytic
+    #: d(h1,h2)/d(kx,ky), shape (..., 2, 2): None means the table's, and both stay
+    #: None for n > 2 bands.  They are fields only so that a wrapped callback
+    #: (a call counter) can be swapped in; a rule that swaps the table resets them
+    #: through :func:`_with_terms`.
+    field: Callable | None = None
     jac12: Callable | None = None
     geometry: dict = dc_field(default_factory=dict)
     #: "exact" or "conjugate" (periodic only up to fixed unitary conjugation)
     periodicity: str = "exact"
     #: name of the builtin implementing the hopping-only range-N family
     hopping_family: str | None = None
-    #: the hopping table the model is built from; None for a hand-built 2-band
-    #: model, which has no ``gap_slope`` and cannot be scaled or folded
-    table: HoppingTable | None = None
+
+    def __post_init__(self):
+        if self.bands == 2:
+            object.__setattr__(self, "field", self.field or self.table.field)
+            object.__setattr__(self, "jac12", self.jac12 or self.table.jac12)
 
     def params_with_defaults(self, params: dict | None) -> dict:
         p = dict(self.defaults)
@@ -141,7 +144,7 @@ class BlochModel:
 
 def eval_field(model: BlochModel, params: dict | None, k) -> np.ndarray:
     """Coefficient vector at k (validates parameters against the schema)."""
-    if model.field is None:
+    if model.bands != 2:
         raise ModelError(f"model {model.name} has no coefficient field")
     p = model.params_with_defaults(params)
     k = np.asarray(k, dtype=float)
@@ -149,19 +152,10 @@ def eval_field(model: BlochModel, params: dict | None, k) -> np.ndarray:
 
 
 def assemble(model: BlochModel, params: dict | None, k) -> np.ndarray:
-    """Hermitian matrix value H(k): the table's sum, or h . sigma (+ h0) for a
-    hand-built 2-band model."""
+    """Hermitian matrix value H(k), the table's sum."""
     p = model.params_with_defaults(params)
     k = np.asarray(k, dtype=float)
-    kx, ky = k[..., 0], k[..., 1]
-    if model.table is not None:
-        return model.table.matrix(p, kx, ky)
-    if model.bands != 2 or model.field is None:
-        raise ModelError(f"model {model.name} has neither a hopping table nor a 2-band field")
-    H = np.einsum("...i,ijk->...jk", model.field(p, kx, ky), SIGMA)
-    if model.h0 is not None:
-        H = H + model.h0(p, kx, ky)[..., None, None] * np.eye(2)
-    return H
+    return model.table.matrix(p, k[..., 0], k[..., 1])
 
 
 def spectrum(H: np.ndarray) -> np.ndarray:
@@ -178,9 +172,9 @@ def _check_gap_band(model: BlochModel, band: int) -> None:
 def gap(model: BlochModel, params: dict | None, k, band: int = 0) -> float:
     """Gap above the given band at k (2-band models use the closed form)."""
     _check_gap_band(model, band)
-    if model.bands == 2 and model.field is not None:
+    if model.bands == 2:
         h = eval_field(model, params, k)
-        return float(2.0 * np.linalg.norm(h[..., :3], axis=-1))
+        return float(2.0 * np.linalg.norm(h, axis=-1))
     ev = spectrum(assemble(model, params, k))
     return float(ev[..., band + 1] - ev[..., band])
 
@@ -200,7 +194,8 @@ class _Compiled(NamedTuple):
     #: [T_R; T_R^dagger] / 2 flattened, so that H(k) = [e^{ik.R}, e^{-ik.R}] @ pm
     pm: np.ndarray
     #: 2 bands only: the Pauli and identity components, shape (T, 4), and the
-    #: k-derivatives i R c of the first three, shape (T, 6)
+    #: k-derivatives i R c of the first three, shape (T, 6).  Nothing reads the
+    #: identity column; a product over three columns would round h3 differently.
     C: np.ndarray | None
     dC: np.ndarray | None
 
@@ -253,10 +248,7 @@ class HoppingTable:
         return (self._phases(c, kx, ky) @ (c.dC if jac else c.C)).real
 
     def field(self, p, kx, ky) -> np.ndarray:
-        return self._sum(p, kx, ky)[..., :-1]
-
-    def h0(self, p, kx, ky) -> np.ndarray:
-        return self._sum(p, kx, ky)[..., -1]
+        return self._sum(p, kx, ky)[..., :3]
 
     def jac(self, p, kx, ky) -> np.ndarray:
         """dh/d(kx, ky), shape (..., 3, 2)."""
@@ -426,6 +418,16 @@ def _integer(p: dict, name: str) -> int:
     return int(p[name])
 
 
+def _whole(value, name: str, positive: bool) -> int:
+    """``value`` as an int, refused unless it is a positive (or a nonzero) integer:
+    2.0 is accepted, while a bool, a string or 2.5 is refused rather than coerced."""
+    whole = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (whole and float(value).is_integer() and value != 0 and (value > 0 or not positive)):
+        kind = "a positive" if positive else "a nonzero"
+        raise ModelError(f"{name} must be {kind} integer, got {value!r}")
+    return int(value)
+
+
 def _dilated(terms: Callable, ns: tuple) -> Callable:
     """R -> (n1 Rx, n2 Ry) on every term: the model at k -> (n1 kx, n2 ky).  Each of
     ``ns`` is an integer or the name of an integer parameter."""
@@ -450,6 +452,20 @@ def _hopping(terms: Callable) -> Callable:
     return scaled
 
 
+def _rotated(terms: Callable, rot: np.ndarray) -> Callable:
+    """h -> rot h for a rotation ``rot``: the Pauli rows of every T_R turn and the
+    identity row stays.  This is T_R -> U T_R U^dagger with U the SU(2) lift of
+    ``rot``, so the spectrum and ``gap_slope`` are unchanged."""
+
+    def rotated(p):
+        R, T = terms(p)
+        c = np.einsum("cji,tij->tc", PAULI, np.asarray(T, dtype=complex)) / 2
+        c[:, :3] = c[:, :3] @ rot.T
+        return R, _pauli(c)
+
+    return rotated
+
+
 _ZONES = {"honeycomb": HONEYCOMB_ZONE, "triangular": TRIANGULAR_ZONE, "kagome": KAGOME_ZONE}
 _HALDANE = {"t1": 1.0, "t2": 0.5, "phi": math.pi / 2, "m": 0.0}
 _HALDANE3NN = {"t1": 1.0, "t2": 0.5, "t3": 0.35, "phi": math.pi / 2, "m": 0.0}
@@ -459,28 +475,24 @@ _KAGOME = {"t1": 1.0, "u1": 1.0}
 _POWER = {"alpha": 1.0, "beta": 1.0, "gamma1": 0.5, "gamma2": 0.25, "m0": 0.0, "d": 1}
 
 
-def _table_fields(terms: Callable, bands: int, h0: bool) -> dict:
-    """A table on ``terms`` and the callbacks it derives: a field, with ``h0``
-    when asked for, and the (h1, h2) Jacobian only for 2 bands."""
-    table = HoppingTable(terms)
-    if bands != 2:
-        return dict(field=None, h0=None, jac12=None, table=table)
-    return dict(field=table.field, h0=table.h0 if h0 else None, jac12=table.jac12, table=table)
-
-
-def _model(name, terms, lattice, defaults, bands=2, h0=False, **fields) -> BlochModel:
+def _model(name, terms, lattice, defaults, bands=2, **fields) -> BlochModel:
     zone = _ZONES.get(lattice, SQUARE_ZONE)
-    table = _table_fields(terms, bands, h0)
-    return BlochModel(name, bands, lattice, dict(defaults), zone, **table, **fields)
+    return BlochModel(name, bands, lattice, dict(defaults), zone, HoppingTable(terms), **fields)
+
+
+def _with_terms(model: BlochModel, terms: Callable, **changes) -> BlochModel:
+    """The model on a new table of ``terms``, with the callbacks it derives reset:
+    ``dataclasses.replace(model, table=...)`` alone would keep the old table's."""
+    return dataclasses.replace(model, table=HoppingTable(terms), field=None, jac12=None, **changes)
 
 
 def _haldane(name, defaults=_HALDANE_N, extra=None, terms=_honeycomb, **fields):
     geometry = {"a": HONEYCOMB_A, "b": HONEYCOMB_B, **(extra or {})}
-    return _model(name, terms, "honeycomb", defaults, h0=True, geometry=geometry, **fields)
+    return _model(name, terms, "honeycomb", defaults, geometry=geometry, **fields)
 
 
 def _triangular_model(name, terms=_triangular, defaults=_HALDANE_N, **fields):
-    return _model(name, terms, "triangular", defaults, h0=True, **fields)
+    return _model(name, terms, "triangular", defaults, **fields)
 
 
 def _kagome_model(name, defaults, terms=_kagome):
@@ -557,9 +569,7 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
     families) and is available for models that declare a hopping family.
     Inadmissible N is rejected with the number-theoretic reason.
     """
-    if isinstance(N, bool) or not isinstance(N, numbers.Real) or N == 0 or N % 1 != 0:
-        raise ModelError(f"N must be a nonzero integer, got {N!r}")
-    N = int(N)
+    N = _whole(N, "N", positive=False)
     if which == "all":
         check = _ADMISSIBLE_ALL.get(model.lattice)
         if check is None:
@@ -570,13 +580,8 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
                 "prime divides it (or the sublattice species do not match), so the "
                 "range-N shell does not replicate the nearest-neighbor structure"
             )
-        if model.table is None:
-            raise ModelError(f"model {model.name} is not a hopping table and cannot be scaled")
         terms = _dilated(model.table.terms, (N, N))
-        return dataclasses.replace(
-            model, name=f"{model.name}_scaled{N}", hopping_family=None,
-            **_table_fields(terms, model.bands, model.h0 is not None),
-        )
+        return _with_terms(model, terms, name=f"{model.name}_scaled{N}", hopping_family=None)
     if which == "hopping_only":
         if model.hopping_family is None:
             raise ModelError(f"model {model.name} has no hopping-only range family")
@@ -621,11 +626,7 @@ def fold_bands(model: BlochModel, N: int) -> BlochModel:
     The folded matrix is periodic on the folded zone up to conjugation by the
     cell phases e^{2 pi i s_x / N} and e^{2 pi i s_y / N}
     (``geometry["gauge_matrices"]``, with H(k + g) = S H(k) S^dagger)."""
-    if model.table is None:
-        raise ModelError(f"model {model.name} is not a hopping table and cannot be folded")
-    if N <= 0 or int(N) != N:
-        raise ModelError("N must be a positive integer")
-    N = int(N)
+    N = _whole(N, "N", positive=True)
     zone = model.zone
     if not (
         np.allclose(zone.g1, [2 * math.pi, 0]) and np.allclose(zone.g2, [0, 2 * math.pi])
@@ -636,15 +637,15 @@ def fold_bands(model: BlochModel, N: int) -> BlochModel:
     nb = model.bands * N * N
     phases = np.exp(2j * math.pi / N * np.array(list(itertools.product(range(N), repeat=2))))
     gauge = tuple(np.diag(np.repeat(phases[:, i], model.bands)) for i in (0, 1))
-    return BlochModel(
+    return _with_terms(
+        model,
+        _folded(model.table.terms, N),
         name=f"{model.name}_folded{N}",
         bands=nb,
-        lattice=model.lattice,
-        defaults=model.defaults,
         zone=BrillouinZone(g1=zone.g1 / N, g2=zone.g2 / N),
         geometry={"gauge_matrices": gauge},
         periodicity="conjugate",
-        **_table_fields(_folded(model.table.terms, N), nb, False),
+        hopping_family=None,
     )
 
 
@@ -662,16 +663,6 @@ class PreDiracPoint:
     jac_sign: int
     h3: float
     degenerate: bool
-
-
-def _fd_jac(model, p, kx, ky) -> np.ndarray:
-    """Central-difference dh/d(kx, ky) at 1-D arrays of k, shape (n, 3, 2), from
-    one field call on the four shifted copies of the points."""
-    eps = 1e-7
-    X = np.concatenate([kx + eps, kx - eps, kx, kx])
-    Y = np.concatenate([ky, ky, ky + eps, ky - eps])
-    h = model.field(p, X, Y).reshape(4, len(kx), 3)
-    return np.stack([h[0] - h[1], h[2] - h[3]], axis=-1) / (2 * eps)
 
 
 def _merge_degenerate(frac, degenerate, residual, tol) -> np.ndarray:
@@ -708,14 +699,11 @@ def pre_dirac_points(
     zeros closer than half a seed spacing count as one.  The zeros come in the
     order of their seam keys (fractional coordinates on a 1e-6 grid).
     """
-    if model.bands != 2 or model.field is None:
+    if model.bands != 2:
         raise ModelError("pre_dirac_points requires a 2-band coefficient model")
+    seed_density = _whole(seed_density, "seed_density", positive=True)
     p = model.params_with_defaults(params)
     zone = model.zone
-
-    def jac12(kx, ky):
-        return model.jac12(p, kx, ky) if model.jac12 else _fd_jac(model, p, kx, ky)[:, :2]
-
     ss = (np.arange(seed_density) + 0.5) / seed_density
     S, T = np.meshgrid(ss, ss, indexing="ij")
     K = zone.kpoint(S.ravel(), T.ravel())
@@ -733,7 +721,7 @@ def pre_dirac_points(
         alive, f = alive[~done], f[~done]
         if not alive.size:
             break
-        a, b, c, d = jac12(k[alive, 0], k[alive, 1]).reshape(-1, 4).T
+        a, b, c, d = model.jac12(p, k[alive, 0], k[alive, 1]).reshape(-1, 4).T
         det = a * d - b * c
         regular = det != 0  # where np.linalg.solve would raise: the seed is dropped
         step = np.stack([d * f[:, 0] - b * f[:, 1], a * f[:, 1] - c * f[:, 0]], axis=-1)
@@ -751,7 +739,7 @@ def pre_dirac_points(
     frac = frac[first]
     kred = zone.kpoint(frac[:, 0], frac[:, 1])
     h = model.field(p, kred[:, 0], kred[:, 1])
-    det = np.linalg.det(jac12(kred[:, 0], kred[:, 1]))
+    det = np.linalg.det(model.jac12(p, kred[:, 0], kred[:, 1]))
     degenerate = np.abs(det) < 1e-8 * scale**2
     keep = _merge_degenerate(frac, degenerate, np.hypot(h[:, 0], h[:, 1]), 0.5 / seed_density)
     return [

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +31,6 @@ from .models import (
     BlochModel,
     ModelError,
     _check_gap_band,
-    _fd_jac,
     assemble,
     gap,
     pre_dirac_points,
@@ -158,9 +156,9 @@ def scan(
     """Label a 1D or 2D parameter grid with Chern numbers.
 
     ``axes`` is a list of one or two ``(name, lo, hi, n)`` tuples.  Each cell
-    runs the Berry engine first.  When the model is a hopping table and the
-    Berry grid's minimum gap above ``band``, less the slope times the grid's
-    covering radius, is at least the threshold, the gap is proven open and
+    runs the Berry engine first.  When the Berry grid's minimum gap above
+    ``band``, less the table's ``gap_slope`` times the grid's covering
+    radius, is at least the threshold, the gap is proven open and
     the cell is certified with the Berry value.  Other cells refine the gap
     with :func:`minimum_gap`: below the threshold they are DEGENERATE, else
     they take the Berry value.  Engine failures are recorded per cell without
@@ -186,7 +184,7 @@ def scan(
         except (InvariantError, ModelError) as exc:
             berry = exc
         try:
-            if isinstance(berry, ChernResult) and model.table is not None:
+            if isinstance(berry, ChernResult):
                 gmin = berry.diagnostics["gap_above"]
                 slope = model.table.gap_slope(model.params_with_defaults(params))
                 if gmin - slope * _covering_radius(model.zone, int(grid)) >= degeneracy_threshold:
@@ -291,7 +289,7 @@ def critical_points(
     is itself degenerate or a charge is None.  Zero curves that begin and end
     inside the bracket touch no seed and are not seen.
     """
-    if model.bands != 2 or model.field is None:
+    if model.bands != 2:
         raise ModelError("critical_points requires a 2-band coefficient model")
     base = model.params_with_defaults(params)
     _check_axis(model, axis)
@@ -300,7 +298,6 @@ def critical_points(
         raise ModelError(f"the bracket [{lo}, {hi}] is empty")
     width = hi - lo
     eps = 1e-6 * max(1.0, abs(lo), abs(hi))
-    jac = partial(_fd_jac, model) if model.table is None else model.table.jac
 
     def at(u):
         return {**base, axis: lo + width * float(u)}
@@ -311,7 +308,7 @@ def critical_points(
     def jacobian(y):
         """[dh/dkx, dh/dky, dh/du] at y = (kx, ky, u), shape (3, 3)."""
         p = at(y[2])
-        J = jac(p, y[:1], y[1:2])[0]
+        J = model.table.jac(p, y[:1], y[1:2])[0]
         up = {**p, axis: p[axis] + eps}
         down = {**p, axis: p[axis] - eps}
         dh = model.field(up, y[:1], y[1:2])[0] - model.field(down, y[:1], y[1:2])[0]
@@ -474,7 +471,7 @@ def locate_transition(
     base = model.params_with_defaults(params)
     _check_axis(model, axis)
 
-    if model.bands == 2 and model.field is not None:
+    if model.bands == 2:
         zeros = critical_points(model, axis, lo, hi, params)
         if not zeros:
             raise ModelError(f"the gap does not close on [{lo}, {hi}]")

@@ -17,7 +17,7 @@ from chernkit.invariants import (
     sphere_map_degree,
     winding_number,
 )
-from chernkit.models import ModelError, builtin_model, gap, scale_model
+from chernkit.models import ModelError, builtin_model, gap, pre_dirac_points, scale_model
 
 SQRT3 = math.sqrt(3.0)
 
@@ -251,6 +251,23 @@ def test_degree_integral_rejects_three_band():
         degree_ray(builtin_model("kagome"))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m: pre_dirac_points(m, seed_density=0),
+        lambda m: degree_ray(m, seed_density=0),
+        lambda m: cross_validate(m, grids={"ray": 0}),
+        lambda m: pre_dirac_points(m, seed_density=-1),
+        lambda m: pre_dirac_points(m, seed_density=2.5),
+        lambda m: pre_dirac_points(m, seed_density=True),
+    ],
+    ids=["pre_dirac_points", "degree_ray", "cross_validate", "negative", "fraction", "bool"],
+)
+def test_seed_density_must_be_a_positive_integer(run):
+    with pytest.raises(ModelError, match="seed_density must be a positive integer"):
+        run(builtin_model("bhz_square"))
+
+
 @pytest.mark.parametrize("params", [{"bogus": 1.0}, {"m": float("nan")}])
 def test_bad_params_raise_model_error_in_every_engine(params):
     bhz = builtin_model("bhz_square")
@@ -270,17 +287,14 @@ def test_resolution_error_on_underresolved_quadrature():
 
 def test_degree_integral_degenerate_field():
     # field vanishes exactly at (pi, pi), which an odd midpoint grid samples
-    from chernkit.models import SQUARE_ZONE, BlochModel
+    from chernkit.models import SQUARE_ZONE, BlochModel, HoppingTable, _pauli
 
-    def f(p, kx, ky):
-        return np.stack(
-            [np.sin(kx), np.sin(ky), np.cos(kx) + np.cos(ky) + 2.0], axis=-1
-        )
+    def terms(p):
+        """h = (sin kx, sin ky, cos kx + cos ky + 2)."""
+        rows = [[0, 0, 2, 0], [-1j, 0, 1, 0], [0, -1j, 1, 0]]
+        return [[0, 0], [1, 0], [0, 1]], _pauli(rows)
 
-    model = BlochModel(
-        name="pinched", bands=2, lattice="square", defaults={},
-        zone=SQUARE_ZONE, field=f,
-    )
+    model = BlochModel("pinched", 2, "square", {}, SQUARE_ZONE, HoppingTable(terms))
     with pytest.raises(DegenerateFamilyError) as exc:
         degree_integral(model, grid=9)
     assert np.allclose(exc.value.k, [math.pi, math.pi], atol=1e-9)

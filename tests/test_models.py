@@ -1,5 +1,6 @@
 """Tests for the Bloch model zoo, scaling transforms, and band folding."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,11 +9,18 @@ import numpy as np
 import pytest
 
 from chernkit import models
-from chernkit.invariants import _ray_perturbations, _rotated_model, _rotation_to_z, degree_ray
+from chernkit.invariants import (
+    _ray_perturbations,
+    _rotated_model,
+    _rotation_to_z,
+    degree_integral,
+    degree_ray,
+)
+from chernkit.phasediag import critical_points
 from chernkit.models import (
-    SQUARE_ZONE,
     BlochModel,
     BrillouinZone,
+    HoppingTable,
     ModelError,
     assemble,
     builtin_model,
@@ -215,15 +223,20 @@ def test_torus_wind_is_scaled_spin_map():
 def test_catalog_matches_recorded_reference(name):
     """Field, h0, Jacobian and matrix agree to 1e-12 with values recorded from
     the hand-written catalog that the hopping tables replaced; a 3-band field is
-    read off the matrix in the Gell-Mann basis."""
+    read off the matrix in the Gell-Mann basis, and h0 is tr H / 2, which is 0
+    where no h0 was recorded."""
     model = builtin_model(name)
     for case in REFERENCE["models"][name]:
         p = model.params_with_defaults(case["params"])
         ks = np.array(case["k"])
         kx, ky = ks[:, 0], ks[:, 1]
-        got = {"field": coefficients(model, p, ks), "assemble": assemble(model, p, ks)}
-        if model.h0 is not None:
-            got["h0"] = model.h0(p, kx, ky)
+        H = assemble(model, p, ks)
+        h0 = np.trace(H, axis1=-2, axis2=-1) / 2
+        got = {"field": coefficients(model, p, ks), "assemble": H}
+        if "h0" in case:
+            got["h0"] = h0
+        else:
+            assert np.max(np.abs(h0)) < 1e-12, (name, case["params"])
         if model.jac12 is not None:
             got["jac12"] = model.jac12(p, kx, ky)
         re, im = case["assemble"]
@@ -292,9 +305,8 @@ def test_gap_slope_is_attained_by_a_single_cosine():
 def test_gap_slope_only_where_it_is_known():
     """Every table has a slope: scaling by N multiplies it by N; folding keeps each
     |R| and each T_R up to a permutation, so only the 64-angle bound's 1/cos(pi/64)
-    is added.  A hand-built model has no table and no slope."""
+    is added."""
     haldane, bhz = builtin_model("haldane"), builtin_model("bhz_square")
-    assert _bhz_by_hand().table is None
     assert scale_model(haldane, 2).table.gap_slope(haldane.defaults) == pytest.approx(
         2 * haldane.table.gap_slope(haldane.defaults)
     )
@@ -363,15 +375,17 @@ def test_assembled_matrix_hermitian(name):
 @pytest.mark.parametrize("name", ["haldane", "haldane3nn", "triangular"])
 def test_traceless_reduction_leaves_eigenvectors(name):
     model = builtin_model(name)
-    stripped = models.BlochModel(
-        name=model.name + "_traceless",
-        bands=2,
-        lattice=model.lattice,
-        defaults=model.defaults,
-        zone=model.zone,
-        field=model.field,
-        h0=None,
-        jac12=model.jac12,
+
+    def traceless(p):
+        """The model's terms with the identity row of every T_R zeroed."""
+        R, T = model.table.terms(p)
+        c = np.einsum("cji,tij->tc", models.PAULI, np.asarray(T, dtype=complex)) / 2
+        c[:, 3] = 0
+        return R, models._pauli(c)
+
+    stripped = BlochModel(
+        model.name + "_traceless", 2, model.lattice, model.defaults, model.zone,
+        HoppingTable(traceless),
     )
     for k in RNG.uniform(-4, 4, (20, 2)):
         _, v1 = np.linalg.eigh(assemble(model, None, k))
@@ -491,8 +505,7 @@ def test_pre_dirac_points_come_in_seam_key_order(name):
 
 @pytest.mark.parametrize("name", TWO_BAND)
 def test_rotated_jacobian_matches_central_differences(name):
-    """A rotated ray's (h1, h2) Jacobian is exact (rows 1-2 of R J), not the
-    finite-difference fallback."""
+    """A rotated ray's (h1, h2) Jacobian, its table's, matches central differences."""
     model = builtin_model(name)
     p = model.params_with_defaults(None)
     rng = np.random.default_rng(20261019)
@@ -510,27 +523,28 @@ def test_rotated_jacobian_matches_central_differences(name):
             assert np.allclose(J[:, :, j], fd, atol=1e-6), (name, probe)
 
 
-def _bhz_by_hand() -> BlochModel:
-    """bhz_square as a hand-built field with no Jacobian."""
-
-    def field(p, kx, ky):
-        t = p["t1"]
-        h = (t * np.sin(kx), t * np.sin(ky), p["m"] - t * np.cos(kx) - t * np.cos(ky))
-        return np.stack(np.broadcast_arrays(*h), axis=-1)
-
-    return BlochModel("bhz_by_hand", 2, "square", {"t1": 1.0, "m": -1.0}, SQUARE_ZONE, field)
-
-
-@pytest.mark.parametrize("params", [None, {"m": 1.0}, {"t1": 0.87, "m": -1.3}, {"m": 3.0}])
-def test_finite_difference_fallback_matches_table(params):
-    hand, table = _bhz_by_hand(), builtin_model("bhz_square")
-    assert hand.jac12 is None
-    got, want = pre_dirac_points(hand, params), pre_dirac_points(table, params)
-    assert [_seam_key(q.frac) for q in got] == [_seam_key(q.frac) for q in want]
-    for a, b in zip(got, want):
-        assert (a.jac_sign, a.degenerate) == (b.jac_sign, b.degenerate)
-        assert abs(a.h3 - b.h3) < 1e-8
-    assert degree_ray(hand, params).value == degree_ray(table, params).value
+@pytest.mark.parametrize("name", TWO_BAND)
+def test_rotated_tables_are_first_class(name):
+    """h -> R h conjugates every T_R by the SU(2) lift of R: the spectrum is the
+    base model's, the rotation keeps the singular values of [Re c, Im c] and so
+    ``gap_slope``, and the rotated table scales like any table.  Float params are
+    jittered by +-20%, so that haldane's phi leaves pi/2 and h0 is not 0."""
+    model = builtin_model(name)
+    rng = np.random.default_rng(20261020)
+    p = {
+        key: val * rng.uniform(0.8, 1.2) if isinstance(val, float) else val
+        for key, val in model.params_with_defaults(None).items()
+    }
+    for probe in RAYS[1:]:
+        rot = _rotated_model(model, _rotation_to_z(probe))
+        assert isinstance(rot.table, HoppingTable)
+        k = rng.uniform(-4, 4, (12, 2))
+        err = np.abs(spectrum(assemble(rot, p, k)) - spectrum(assemble(model, p, k))).max()
+        assert err < 1e-12, (name, probe)
+        assert rot.table.gap_slope(p) == pytest.approx(model.table.gap_slope(p), rel=1e-12)
+        scaled = scale_model(rot, 3)
+        assert np.allclose(assemble(scaled, p, k), assemble(rot, p, 3 * k), atol=1e-12)
+        assert np.allclose(eval_field(scaled, p, k), eval_field(rot, p, 3 * k), atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -579,7 +593,7 @@ def test_scale_all_matches_builtin_haldane_n2(base, builtin):
     "base, N",
     # kagome refuses even N (an even range ends on a site of the same species)
     [(b, n) for b in ("haldane", "bhz_square", "triangular") for n in (3, -2)]
-    + [("kagome", 3), ("kagome", -3)],
+    + [("kagome", 3), ("kagome", -3), ("bhz_square", -1)],
 )
 def test_scale_all_is_base_at_dilated_k(base, N):
     """scale_model(base, N) at k is base at N k, its (h1, h2) Jacobian N times base's."""
@@ -597,15 +611,6 @@ def test_scale_all_is_base_at_dilated_k(base, N):
 def test_every_catalog_model_is_a_hopping_table():
     for name in ALL_MODELS:
         assert isinstance(builtin_model(name).table, models.HoppingTable), name
-
-
-def test_scale_all_needs_a_hopping_table():
-    hand_built = BlochModel(
-        "hand", 2, "square", {}, SQUARE_ZONE,
-        field=lambda p, kx, ky: np.zeros(np.shape(kx) + (3,)),
-    )
-    with pytest.raises(ModelError, match="hopping table"):
-        scale_model(hand_built, 3, "all")
 
 
 @pytest.mark.parametrize(
@@ -664,13 +669,23 @@ def test_fold_bands_multiset_and_trace():
         ) < 1e-10
 
 
+@pytest.mark.parametrize("N", [True, "2", 2.5, 0, -1])
+def test_fold_bands_needs_a_positive_integer(N):
+    with pytest.raises(ModelError, match="positive integer"):
+        fold_bands(builtin_model("bhz_square"), N)
+
+
+@pytest.mark.parametrize("N", [True, "2", 2.5, 0])
+def test_scale_model_needs_a_nonzero_integer(N):
+    with pytest.raises(ModelError, match="nonzero integer"):
+        scale_model(builtin_model("bhz_square"), N)
+
+
 def test_fold_bands_rejections():
     with pytest.raises(ModelError):
         fold_bands(builtin_model("bhz_square"), 0)
     with pytest.raises(ModelError):
         fold_bands(builtin_model("haldane"), 2)  # non-square zone
-    with pytest.raises(ModelError, match="hopping table"):
-        fold_bands(_bhz_by_hand(), 2)
 
 
 def test_fold_bands_is_periodic_up_to_the_cell_phases():
@@ -697,3 +712,72 @@ def test_folded_model_scales(N):
     assert scaled.table.gap_slope(bhz.defaults) == pytest.approx(
         abs(N) * folded.table.gap_slope(bhz.defaults)
     )
+
+
+# ---------------------------------------------------------------------------
+# callbacks: the contract of a call counter
+# ---------------------------------------------------------------------------
+
+
+def _counted(model):
+    """The model with its field and Jacobian callbacks counted, swapped in the way
+    a tracing harness does it, and the running counts."""
+    calls = {"field": 0, "jac12": 0}
+
+    def counted(key, fn):
+        def call(p, kx, ky):
+            calls[key] += 1
+            return fn(p, kx, ky)
+
+        return call
+
+    repl = {key: counted(key, getattr(model, key)) for key in calls}
+    return dataclasses.replace(model, **repl), calls
+
+
+@pytest.mark.parametrize(
+    "run, jac12",
+    [
+        (pre_dirac_points, True),
+        (degree_integral, False),
+        (degree_ray, True),
+        (lambda m: critical_points(m, "m", -1.0, 1.0), True),
+    ],
+    ids=["pre_dirac_points", "degree_integral", "degree_ray", "critical_points"],
+)
+def test_engines_call_the_model_callbacks(run, jac12):
+    """Every 2-band engine evaluates h (and the root finders jac12) through the
+    model's callbacks, so that a counter swapped in by ``dataclasses.replace``
+    sees each call."""
+    model, calls = _counted(builtin_model("bhz_square"))
+    run(model)
+    assert calls["field"] > 0
+    assert (calls["jac12"] > 0) == jac12
+
+
+def _derived_models():
+    """Every catalog model, scaled by 3, and on each rotated probe; each also
+    built from a counted model, whose callbacks a rule must not carry over."""
+    for name in ALL_MODELS:
+        model = builtin_model(name)
+        yield name, model
+        for base in (model, _counted(model)[0]):
+            yield name + "_scaled3", scale_model(base, 3)
+            if base.bands == 2:
+                for probe in RAYS[1:]:
+                    yield name + "_rot", _rotated_model(base, _rotation_to_z(probe))
+
+
+def test_model_callbacks_are_the_tables():
+    """``field`` and ``jac12`` are the table's own, for builtins and for every
+    model a rule derives (3-band models have neither)."""
+    rng = np.random.default_rng(20261021)
+    for name, model in _derived_models():
+        if model.bands != 2:
+            assert model.field is None and model.jac12 is None, name
+            continue
+        p = model.params_with_defaults(None)
+        kx, ky = rng.uniform(-4, 4, (2, 7))
+        assert model.field == model.table.field and model.jac12 == model.table.jac12, name
+        assert np.array_equal(model.field(p, kx, ky), model.table.field(p, kx, ky)), name
+        assert np.array_equal(model.jac12(p, kx, ky), model.table.jac12(p, kx, ky)), name

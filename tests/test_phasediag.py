@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import chernkit
 from chernkit import phasediag
-from chernkit.models import SQUARE_ZONE, BlochModel, ModelError, builtin_model
+from chernkit.models import ModelError, builtin_model
 from chernkit.invariants import DegenerateFamilyError, chern_berry_lattice
 from chernkit.phasediag import (
     DEGENERATE,
@@ -208,20 +208,6 @@ def test_certified_gap_brackets_refined_minimum(name, axes):
     for c in pd.cells:
         if not c.certified and c.chern != DEGENERATE:
             assert c.min_gap == minimum_gap(model, c.params)[0]
-
-
-def test_model_without_gap_slope_refines_every_cell():
-    def bhz(p, kx, ky):
-        return np.stack([np.sin(kx), np.sin(ky), p["m"] - np.cos(kx) - np.cos(ky)], axis=-1)
-
-    hand = BlochModel("bhz_by_hand", 2, "square", {"m": -1.0}, SQUARE_ZONE, bhz)
-    axes = [("m", -3.0, 3.0, 13)]
-    pd = scan(hand, axes, grid=32)
-    assert not any(c.certified for c in pd.cells)
-    builtin = scan(builtin_model("bhz_square"), axes, grid=32)
-    assert any(c.certified for c in builtin.cells)
-    assert [c.chern for c in pd.cells] == [c.chern for c in builtin.cells]
-    assert pd.boundary == builtin.boundary
 
 
 def test_scan_refuses_fractional_power():
