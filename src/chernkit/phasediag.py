@@ -12,6 +12,7 @@ exactly on the fan's rays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import NamedTuple
@@ -31,6 +32,7 @@ from .models import (
     BlochModel,
     ModelError,
     _check_gap_band,
+    _whole,
     assemble,
     gap,
     pre_dirac_points,
@@ -139,9 +141,10 @@ class PhaseDiagram:
 
 def _axis_values(axis):
     name, lo, hi, n = axis
+    n = _whole(n, "resolution", positive=True)
     if n < 2:
         raise ModelError("resolution must be >= 2 per axis")
-    return name, np.linspace(float(lo), float(hi), int(n))
+    return name, np.linspace(float(lo), float(hi), n)
 
 
 def scan(
@@ -169,6 +172,10 @@ def scan(
     if not 1 <= len(axes) <= 2:
         raise ModelError("scan supports 1 or 2 axes")
     _check_gap_band(model, band)
+    if not (math.isfinite(degeneracy_threshold) and degeneracy_threshold >= 0):
+        raise ModelError(
+            f"degeneracy_threshold must be finite and >= 0, got {degeneracy_threshold!r}"
+        )
     schema = model.defaults
     for name, *_ in axes:
         if name not in schema:
@@ -525,33 +532,29 @@ class WallFamily:
         )
 
     def min_norm(self, t) -> float:
-        return _min_norm_on_sphere(lambda P, T: self(t, P, T), 180, 91)
+        return _blend_min_norm(self.d, self.dprime, 1.0 - float(t), float(t))
 
 
-def _min_norm_on_sphere(fn, nphi: int, ntheta: int) -> float:
-    """Grid minimum of |fn(phi, theta)| polished by simplex descent."""
-    from scipy import optimize  # imported on first use; it is slow to import
+def _blend_min_norm(d: int, dprime: int, a1: float, a2: float) -> float:
+    """Least |a1 f_d + a2 f_d'| over the sphere, for real a1 and a2.
 
-    phi = np.linspace(0.0, TWO_PI, nphi, endpoint=False)
-    theta = np.linspace(0.0, math.pi, ntheta)
-    P, T = np.meshgrid(phi, theta, indexing="ij")
-    norms = np.linalg.norm(fn(P, T), axis=-1)
-    idx = np.unravel_index(np.argmin(norms), norms.shape)
-    x0 = np.array([P[idx], T[idx]])
+    |F|^2 = sin^2(theta) |a1 e^{i d phi} + a2 e^{i d' phi}|^2 + cos^2(theta) (a1 + a2)^2,
+    and for d != d' the equatorial term's least value is (|a1| - |a2|)^2.
+    """
+    poles = abs(a1 + a2)
+    return poles if d == dprime else min(abs(abs(a1) - abs(a2)), poles)
 
-    def objective(x):
-        return float(np.linalg.norm(fn(np.array(x[0]), np.array(x[1]))))
 
-    res = optimize.minimize(
-        objective, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14}
-    )
-    return min(float(norms[idx]), float(res.fun))
+def _integers(names: str, *values) -> tuple[int, ...]:
+    """``values`` as ints; 2.0 is accepted, while a bool, a string or 2.5 is refused."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not float(v).is_integer():
+            raise ValueError(f"{names} must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 def wall_family(d: int, dprime: int) -> WallFamily:
-    if int(d) != d or int(dprime) != dprime:
-        raise ValueError("d and d' must be integers")
-    return WallFamily(int(d), int(dprime))
+    return WallFamily(*_integers("d and d'", d, dprime))
 
 
 def wall_zeros(d: int, dprime: int) -> list[float]:
@@ -560,6 +563,7 @@ def wall_zeros(d: int, dprime: int) -> list[float]:
     The zeros of (z^d + z^{d'})/2 on the unit circle are the odd powers of a
     primitive 2*delta-th root of unity, delta = |d - d'|.
     """
+    d, dprime = _integers("d and d'", d, dprime)
     if d == dprime:
         raise ValueError("d = d' has no wall")
     delta = abs(d - dprime)
@@ -621,9 +625,7 @@ def rose_curve(d: int, dprime: int, t: float, nsamples: int | None = None) -> Ro
     The sample count is raised until adjacent samples subtend < 0.1 rad
     about the origin (away from zeros), so winding sums are unambiguous.
     """
-    if int(d) != d or int(dprime) != dprime:
-        raise ValueError("d and d' must be integers")
-    d, dprime = int(d), int(dprime)
+    d, dprime = _integers("d and d'", d, dprime)
     floor = max(
         16 * (abs(d) + abs(dprime) + 1),
         math.ceil(TWO_PI * max(abs(d), abs(dprime), 1) / 0.1),
@@ -645,7 +647,8 @@ def rose_curve(d: int, dprime: int, t: float, nsamples: int | None = None) -> Ro
 
 def dirac_count(d: int, dprime: int) -> int:
     """Number of Dirac points created when crossing the (d, d') wall."""
-    return abs(int(d) - int(dprime))
+    d, dprime = _integers("d and d'", d, dprime)
+    return abs(d - dprime)
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +665,13 @@ class FanDiagram:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 2:
+        k, *labels = _integers("k and the labels", self.k, *self.labels)
+        if k < 2:
             raise ValueError("a fan needs at least 2 rays")
-        labels = tuple(int(x) for x in self.labels)
-        if len(labels) != self.k:
+        if len(labels) != k:
             raise ValueError("need exactly one label per chamber")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "labels", tuple(labels))
 
     def ray_angle(self, i: int) -> float:
         return TWO_PI * (i % self.k) / self.k
@@ -690,6 +694,8 @@ class FanFamily:
     fan: FanDiagram
 
     def _cone(self, x: float, y: float):
+        if x == 0.0 and y == 0.0:
+            raise ValueError("the fan family is undefined at the origin")
         k = self.fan.k
         alpha = math.atan2(y, x) % TWO_PI
         i = int(round(alpha / (TWO_PI / k))) % k  # nearest ray
@@ -713,17 +719,15 @@ class FanFamily:
         return i, float(a[0]), float(a[1])
 
     def __call__(self, p, phi, theta) -> np.ndarray:
-        x, y = float(p[0]), float(p[1])
-        if x == 0.0 and y == 0.0:
-            raise ValueError("the fan family is undefined at the origin")
-        i, a1, a2 = self._cone(x, y)
+        i, a1, a2 = self._cone(float(p[0]), float(p[1]))
         labels = self.fan.labels
         return a1 * suspension(labels[(i - 1) % self.fan.k], phi, theta) + a2 * suspension(
             labels[i], phi, theta
         )
 
     def min_norm(self, p) -> float:
-        return _min_norm_on_sphere(lambda P, T: self(p, P, T), 240, 121)
+        i, a1, a2 = self._cone(float(p[0]), float(p[1]))
+        return _blend_min_norm(self.fan.labels[i - 1], self.fan.labels[i], a1, a2)
 
 
 def fan_family(fan: FanDiagram) -> FanFamily:
@@ -738,8 +742,8 @@ def verify_realization(fan: FanDiagram, probe_radius: float = 1.0) -> dict:
     map; each ray must be degenerate iff its flanking labels differ, and
     nearby off-ray points must be non-degenerate.
     """
-    if probe_radius <= 0:
-        raise ValueError("probe_radius must be positive")
+    if not (math.isfinite(probe_radius) and probe_radius > 0):
+        raise ValueError(f"probe_radius must be positive and finite, got {probe_radius!r}")
     family = fan_family(fan)
     k = fan.k
     chambers = []

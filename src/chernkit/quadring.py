@@ -13,6 +13,7 @@ structure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -37,10 +38,28 @@ class PrimeBehavior(Enum):
     RAMIFIED = "ramified"
 
 
+def _as_int(n, name: str = "n") -> int:
+    """``n`` as an int; a bool, a float such as 2.0 or a string is refused."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise RingError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 def _factorint(n: int) -> dict[int, int]:
-    # imported on first use: only ring arithmetic needs sympy, and it is slow to import
-    from sympy import factorint
-    return factorint(n)
+    """{prime: exponent} of 1 <= n <= ENUMERATION_BOUND, by trial division."""
+    n = _as_int(n)
+    if n > ENUMERATION_BOUND:
+        raise CapacityError(f"{n} exceeds the factoring bound {ENUMERATION_BOUND}")
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def _squarefree(n: int) -> bool:
@@ -114,10 +133,11 @@ class RingElement:
         return self.ring.embed(self.a, self.b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: make_ring(True) is refused, not read as d = 1
 def make_ring(d: int) -> QuadraticRing:
     """Construct the ring of integers of Q(sqrt(-d))."""
-    if not isinstance(d, int) or d < 1:
+    d = _as_int(d, "d")
+    if d < 1:
         raise RingError(f"d must be a positive integer, got {d!r}")
     if not _squarefree(d):
         raise RingError(f"d must be square-free, got {d}")
@@ -169,16 +189,18 @@ class Shell:
         return math.sqrt(self.n)
 
 
-def _check_norm(n: int) -> None:
+def _check_norm(n: int) -> int:
+    n = _as_int(n)
     if n < 0:
         raise RingError("n must be non-negative")
     if n > ENUMERATION_BOUND:
         raise CapacityError(f"norm {n} exceeds enumeration bound {ENUMERATION_BOUND}")
+    return n
 
 
 def shell_enumerate(ring: QuadraticRing, n: int) -> Shell:
     """Exhaustively list elements of norm n (positive-definite form bound)."""
-    _check_norm(n)
+    n = _check_norm(n)
     t, D = ring._form[0], ring.discriminant
     pts = []
     # 4 N(a + b omega) = (2a - t b)^2 - D b^2  =>  |b| <= sqrt(4n / -D)
@@ -205,7 +227,7 @@ def is_isolated_norm(ring: QuadraticRing, n: int) -> bool:
     which is exact there: every ramified prime is the norm of its prime
     element.  For non-UFD rings only brute-force enumeration is authoritative.
     """
-    if n < 1:
+    if _as_int(n) < 1:
         raise RingError("n must be positive")
     if not ring.ufd:
         return shell_enumerate(ring, n).isolated
@@ -219,7 +241,7 @@ def isolated_norm_advisory(ring: QuadraticRing, n: int) -> bool:
     primes that are themselves represented by the norm form.  A False result
     is inconclusive for non-UFD rings.
     """
-    if n < 1:
+    if _as_int(n) < 1:
         raise RingError("n must be positive")
     for p, e in _factorint(n).items():
         behavior = classify_prime(ring, p)
@@ -239,7 +261,7 @@ _LATTICE_RING = {"square": 1, "triangular": 3}
 
 def _split_free(lattice: str, N: int) -> bool:
     """No prime that splits in the lattice's ring may divide the range N."""
-    if N == 0:
+    if _as_int(N, "N") == 0:
         return False
     ring = make_ring(_LATTICE_RING[lattice])
     return all(classify_prime(ring, p) is not PrimeBehavior.SPLIT for p in _factorint(abs(N)))

@@ -326,6 +326,15 @@ def test_scan_band_out_of_range_exits_2(capsys):
     assert "band" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_scan_refuses_a_nan_or_negative_threshold(capsys, threshold):
+    cfg = json.dumps({"model": "bhz_square"})
+    code, out, err = _run(capsys, "scan", "--model-config", cfg, "--axis", "m:-1:1:3",
+                          "--threshold", threshold)
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "ModelError"
+
+
 def test_scan_bad_axis_exits_2(capsys):
     code, _, err = _run(
         capsys, "scan", "--model-config", HALDANE, "--axis", "m:0:1"

@@ -162,6 +162,15 @@ def test_scan_rejects_bad_axes():
         scan(h, [("m", 0.0, 1.0, 1)])
 
 
+def test_scan_refuses_fractional_resolution_and_nan_threshold():
+    m = builtin_model("bhz_square")
+    with pytest.raises(ModelError, match="resolution must be a positive integer"):
+        scan(m, [("m", -1.0, 1.0, 2.5)])
+    for threshold in (float("nan"), float("inf"), -1e-6):
+        with pytest.raises(ModelError, match="degeneracy_threshold"):
+            scan(m, [("m", -1.0, 1.0, 3)], degeneracy_threshold=threshold)
+
+
 def test_kagome_scan_flags_degeneracies():
     kg = builtin_model("kagome")
     pd = scan(kg, [("u1", -2.0, 2.0, 5)], grid=32, kgrid=24)
@@ -479,6 +488,46 @@ def test_wall_localization_at_half():
             assert fam.min_norm(t) > abs(t - 0.5) / 2.0, (d, dp, t)
 
 
+def _search_min_norm(fn, nphi, ntheta):
+    """Reference: grid minimum of |fn(phi, theta)| over the sphere, polished by
+    Nelder-Mead."""
+    from scipy import optimize
+
+    phi = np.linspace(0.0, TWO_PI, nphi, endpoint=False)
+    theta = np.linspace(0.0, math.pi, ntheta)
+    P, T = np.meshgrid(phi, theta, indexing="ij")
+    norms = np.linalg.norm(fn(P, T), axis=-1)
+    idx = np.unravel_index(np.argmin(norms), norms.shape)
+    res = optimize.minimize(
+        lambda x: float(np.linalg.norm(fn(np.array(x[0]), np.array(x[1])))),
+        np.array([P[idx], T[idx]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-14},
+    )
+    return min(float(norms[idx]), float(res.fun))
+
+
+def test_wall_min_norm_matches_sphere_search():
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        d, dp = (int(x) for x in rng.integers(-4, 5, size=2))
+        t = float(rng.uniform(-0.5, 1.5))
+        fam = wall_family(d, dp)
+        want = _search_min_norm(lambda P, T: fam(t, P, T), 180, 91)
+        assert fam.min_norm(t) == pytest.approx(want, abs=1e-9), (d, dp, t)
+
+
+def test_fan_min_norm_matches_sphere_search():
+    rng = np.random.default_rng(19)
+    for k in range(2, 8):
+        fam = fan_family(FanDiagram(k, tuple(int(x) for x in rng.integers(-3, 4, size=k))))
+        for _ in range(6):
+            r, ang = rng.uniform(0.3, 2.0), rng.uniform(0.0, TWO_PI)
+            p = (r * math.cos(ang), r * math.sin(ang))
+            want = _search_min_norm(lambda P, T: fam(p, P, T), 240, 121)
+            assert fam.min_norm(p) == pytest.approx(want, abs=1e-9), (fam.fan, p)
+
+
 def test_wall_winding_plateaus():
     for d, dp in [(1, 2), (5, 7), (1, -2), (-2, 4)]:
         for t in (0.1, 0.25, 0.4):
@@ -590,6 +639,37 @@ def test_fan_validation_errors():
         fan_family(FanDiagram(k=2, labels=(0, 1)))((0.0, 0.0), 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FanDiagram(3, (1.5, 2, 3)),
+        lambda: FanDiagram(3.5, (1, 2, 3)),
+        lambda: FanDiagram(2, ("1", 2)),
+        lambda: dirac_count(1.5, 3),
+        lambda: wall_zeros(1.5, 3),
+        lambda: wall_family(True, 2),
+        lambda: wall_family(1, "2"),
+        lambda: rose_curve(1, False, 0.5),
+    ],
+)
+def test_integer_arguments_are_not_truncated(call):
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+def test_integral_floats_are_accepted_as_integers():
+    fan = FanDiagram(3.0, (1.0, 2, 3))
+    assert (fan.k, fan.labels) == (3, (1, 2, 3)) and type(fan.k) is int
+    assert dirac_count(1.0, 3) == 2
+    assert wall_zeros(1.0, 3.0) == wall_zeros(1, 3)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
+def test_verify_realization_refuses_a_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="probe_radius must be positive and finite"):
+        verify_realization(FanDiagram(k=3, labels=(0, 1, 2)), probe_radius=radius)
+
+
 def test_adjacent_chamber_rule():
     # a ray is degenerate iff it separates different labels
     fan = FanDiagram(k=4, labels=(0, 0, 1, 1))
@@ -600,13 +680,15 @@ def test_adjacent_chamber_rule():
 
 
 def test_scipy_optimize_is_imported_only_by_refinement():
-    """The engines and the 2-band locate_transition run without scipy.optimize;
-    a scan's gap refinement loads it."""
+    """The engines, the 2-band locate_transition and the wall and fan checks run
+    without scipy.optimize; a scan's gap refinement loads it."""
     script = """
 import sys
 import chernkit as ck
 ck.cross_validate(ck.builtin_model("haldane"))
 ck.locate_transition(ck.builtin_model("bhz_square"), "m", -1.0, 1.0)
+assert ck.verify_realization(ck.FanDiagram(k=3, labels=(0, 1, 2)))["passed"]
+assert ck.wall_family(1, 3).min_norm(0.5) == 0.0
 assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
 ck.scan(ck.builtin_model("bhz_square"), [("m", -1.0, 1.0, 3)])
 assert "scipy.optimize" in sys.modules, "scan did not load scipy.optimize"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint, isprime
@@ -141,6 +142,50 @@ def test_norm_multiplicative(d, pairs):
 # ---------------------------------------------------------------------------
 # prime behavior
 # ---------------------------------------------------------------------------
+
+
+def test_factorint_matches_sympy():
+    for n in range(1, 20001):
+        assert quadring._factorint(n) == factorint(n), n
+    for n in np.random.default_rng(18).integers(1, 10**8 + 1, size=3000):
+        assert quadring._factorint(int(n)) == factorint(int(n)), n
+    assert quadring._factorint(10**8) == {2: 8, 5: 8}
+    assert quadring._factorint(99999989) == {99999989: 1}  # the largest prime below 10^8
+
+
+def test_factorint_refusals():
+    with pytest.raises(CapacityError):
+        quadring._factorint(10**8 + 1)
+    for bad in (2.0, True, "6"):
+        with pytest.raises(RingError):
+            quadring._factorint(bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "6"])
+def test_non_integers_are_refused(bad):
+    for call in (
+        lambda: shell_enumerate(GAUSS, bad),
+        lambda: square_admissible(bad),
+        lambda: kagome_admissible(bad),
+        lambda: is_isolated_norm(GAUSS, bad),
+        lambda: isolated_norm_advisory(make_ring(5), bad),
+        lambda: make_ring(bad),
+    ):
+        with pytest.raises(RingError, match="must be an integer"):
+            call()
+
+
+def test_factoring_bound_is_a_capacity_error():
+    big = 10**8 + 7  # prime
+    for call in (
+        lambda: make_ring(big),
+        lambda: classify_prime(GAUSS, big),
+        lambda: square_admissible(big),
+        lambda: triangular_admissible(-big),
+        lambda: is_isolated_norm(GAUSS, big),
+    ):
+        with pytest.raises(CapacityError):
+            call()
 
 
 def test_classify_prime_examples():
@@ -421,15 +466,19 @@ def test_site_kind_matches_admissibility_parity():
 
 
 def test_sympy_is_imported_only_by_ring_arithmetic():
-    """Engines, scans and fans run without sympy; the ring arithmetic loads it."""
+    """No runtime path loads sympy: not the engines, scans and fans, and not the
+    ring arithmetic, which factors by trial division."""
     script = """
 import sys
 import chernkit as ck
 ck.cross_validate(ck.builtin_model("haldane"))
 ck.scan(ck.builtin_model("bhz_square"), [("m", -1.0, 1.0, 3)])
 assert ck.verify_realization(ck.FanDiagram(k=3, labels=(0, 1, 2)))["passed"]
-assert "sympy" not in sys.modules, "sympy was imported"
 assert ck.make_ring(5).discriminant == -20
+assert ck.classify_prime(ck.make_ring(1), 5) is ck.PrimeBehavior.SPLIT
+assert ck.scale_model(ck.builtin_model("haldane"), 2).name == "haldane_scaled2"
+assert ck.is_isolated_norm(ck.make_ring(1), 9)
+assert "sympy" not in sys.modules, "sympy was imported"
 """
     src = str(Path(chernkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
