@@ -1,35 +1,28 @@
 """Momentum-space Bloch Hamiltonian families (the model zoo).
 
 Every model is a :class:`BlochModel`: a named, parameterized Hermitian matrix
-H(k) on the momentum torus, together with its Brillouin zone, neighbor
-geometry and parameter schema, and held as a :class:`HoppingTable`: the
-tight-binding Hamiltonian H(k) = Herm sum_R T_R e^{ik.R}, with
-Herm A = (A + A^dagger) / 2, given by a function of the params that returns
-the vectors R and the n x n matrices T_R.  2-band terms write each T_R as
-Pauli rows through :func:`_pauli`; kagome writes its three site-to-site
-hoppings.  The table gives ``assemble`` the whole matrix in one pass and
-``gap_slope`` (a bound on how fast any band gap can change with k, which lets
-a phase scan certify a cell's gap from a grid).  For 2 bands it also derives
-the coefficient field h, with H = h . sigma + (tr H / 2) 1, and the exact
-Jacobians ``jac`` and ``jac12`` of h: the root finder uses the (h1, h2) rows.
+H(k) with its parameter schema, held as a :class:`HoppingTable` on a Brillouin
+zone.  A terms function of the params returns integer lattice vectors n and
+n x n matrices T_n and, for a table whose orbitals do not sit at the cell
+origin, the orbital sites as integer numerators s over one denominator q;
+element (a, b) of T_n hops by n + (s_a - s_b) / q.  2-band terms write each
+T_n as Pauli rows through :func:`_pauli`.  The table gives ``assemble`` the
+whole matrix in one pass, ``gap_slope`` (a bound on how fast any band gap can
+change with k, which lets a phase scan certify a cell's gap from a grid) and,
+for 2 bands, the field h with H = h . sigma + (tr H / 2) 1 and its exact
+Jacobians.  The sites alone fix the gauge S_i = diag e^{2 pi i s_i / q}, with
+H(k + g_i) = S_i H(k) S_i^dagger, and so ``BlochModel.periodicity``: "exact"
+for a table without sites (the honeycomb fields carry a common phase, which
+moves no zero, gap or Chern number), "conjugate" for kagome and folded tables,
+whose consumers evaluate at the actual k rather than wrap indices.
 
-Range families and probes come from rules on the terms: :func:`_dilated`
-(R -> (n1 Rx, n2 Ry), the model at k -> (n1 kx, n2 ky):
-``scale_model(..., "all")``, the ``_n2`` builtins, ``spin_ssphere``,
-``torus_wind``), :func:`_hopping` (R -> N R on the inter-orbital terms:
-``haldane_n``, ``triangular_n``), :func:`_folded` (the N x N super-cell of
-``fold_bands``) and :func:`_rotated` (h -> R h, the ray engine's rotated
+Range families and probes are rules on the terms: :func:`_dilated` (n and the
+sites scaled: ``scale_model(..., "all")``, the ``_n2`` builtins,
+``spin_ssphere``, ``torus_wind``), :func:`_hopping` (n -> N n on the
+inter-orbital terms: ``haldane_n``, ``triangular_n``), :func:`_folded` (the
+super-cell of ``fold_bands``) and :func:`_rotated` (h -> R h, the ray engine's
 probes).  A new model is a terms function plus one ``_CATALOG`` entry, or
-``BlochModel(name, bands, lattice, defaults, zone, HoppingTable(terms))``.
-
-Honeycomb-family coefficient fields are written in the periodic gauge: the
-inter-sublattice amplitude carries a common phase exp(-i N k.a1) so the
-coefficient vector is exactly periodic under the reciprocal vectors.  This is
-a k-dependent U(1) rotation of (h1, h2); it moves no zeros and changes no
-Jacobian sign, gap, or Chern number.  The kagome and folded matrices are
-periodic up to conjugation by fixed unitaries, H(k + g) = S H(k) S^dagger
-(see ``geometry["gauge_matrices"]``); consumers that walk across the zone
-boundary must evaluate at the actual k rather than wrapping indices.
+``BlochModel(name, bands, lattice, defaults, HoppingTable(terms, zone))``.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -81,11 +74,6 @@ class BrillouinZone:
     def area(self) -> float:
         return float(self.g1[0] * self.g2[1] - self.g1[1] * self.g2[0])
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Columns g1, g2."""
-        return np.stack([self.g1, self.g2], axis=1)
-
     def kpoint(self, s, t) -> np.ndarray:
         """k = s g1 + t g2 for fractional coordinates s, t (broadcasting)."""
         s = np.asarray(s, dtype=float)[..., None]
@@ -94,7 +82,13 @@ class BrillouinZone:
 
     def frac(self, k) -> np.ndarray:
         """Fractional coordinates of k, shape (2,) or (n, 2) (inverse of :meth:`kpoint`)."""
-        return np.linalg.solve(self.matrix, np.asarray(k, dtype=float).T).T
+        return np.asarray(k, dtype=float) @ self.basis.T / (2 * math.pi)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """Rows a1, a2: the lattice vectors, with a_i . g_j = 2 pi delta_ij."""
+        (g1x, g1y), (g2x, g2y) = self.g1, self.g2
+        return 2 * math.pi * np.array([[g2y, -g2x], [-g1y, g1x]]) / self.area
 
 
 SQUARE_ZONE = BrillouinZone(g1=(2 * math.pi, 0.0), g2=(0.0, 2 * math.pi))
@@ -108,8 +102,7 @@ class BlochModel:
     bands: int
     lattice: str
     defaults: dict
-    zone: BrillouinZone
-    #: the hopping table the model is built from
+    #: the hopping table the model is built from, on its Brillouin zone
     table: HoppingTable
     #: 2-band Pauli coefficient map (params, kx, ky) -> (..., 3) and its analytic
     #: d(h1,h2)/d(kx,ky), shape (..., 2, 2): None means the table's, and both stay
@@ -118,9 +111,6 @@ class BlochModel:
     #: through :func:`_with_terms`.
     field: Callable | None = None
     jac12: Callable | None = None
-    geometry: dict = dc_field(default_factory=dict)
-    #: "exact" or "conjugate" (periodic only up to fixed unitary conjugation)
-    periodicity: str = "exact"
     #: name of the builtin implementing the hopping-only range-N family
     hopping_family: str | None = None
 
@@ -128,6 +118,17 @@ class BlochModel:
         if self.bands == 2:
             object.__setattr__(self, "field", self.field or self.table.field)
             object.__setattr__(self, "jac12", self.jac12 or self.table.jac12)
+
+    @property
+    def zone(self) -> BrillouinZone:
+        return self.table.zone
+
+    @property
+    def periodicity(self) -> str:
+        """"exact" where H(k + g) = H(k) at the defaults, "conjugate" where only
+        H(k + g_i) = S_i H(k) S_i^dagger with S_i the table's :meth:`~HoppingTable.gauge`."""
+        exact = all(np.array_equal(S, np.eye(self.bands)) for S in self.table.gauge(self.defaults))
+        return "exact" if exact else "conjugate"
 
     def params_with_defaults(self, params: dict | None) -> dict:
         p = dict(self.defaults)
@@ -201,22 +202,26 @@ class _Compiled(NamedTuple):
 
 
 class HoppingTable:
-    """A Bloch Hamiltonian as a finite Fourier series H(k) = Herm sum_R T_R e^{ik.R}.
+    """A Bloch Hamiltonian as a finite Fourier series H(k) = Herm sum T_n e^{ik.R}.
 
-    ``terms(p)`` returns vectors R, shape (T, 2), and n x n coefficients T_R,
-    shape (T, n, n); Herm A = (A + A^dagger) / 2.  The compiled terms are
-    cached for the last few params.  For 2 bands the compile step also
-    projects each T_R on the Pauli matrices and the identity,
+    ``terms(p)`` returns integer vectors n, shape (T, 2), in ``zone.basis``,
+    coefficients T_n, shape (T, n, n), and optionally the sites ``(s, q)``:
+    integer numerators s, shape (n, 2), over q.  Element (a, b) of T_n hops by
+    R = (n + (s_a - s_b) / q) . (a1, a2); Herm A = (A + A^dagger) / 2.  The
+    compiled terms are cached for the last few params.  For 2 bands the compile
+    step also projects each T_R on the Pauli matrices and the identity,
     c = tr(P_c T_R) / 2, so that component c of the field is
     Re sum_R c e^{ik.R} and its Jacobian is Re sum_R i R c e^{ik.R}.
     """
 
-    def __init__(self, terms: Callable):
+    def __init__(self, terms: Callable, zone: BrillouinZone):
         self.terms = terms
+        self.zone = zone
         self._cached = functools.lru_cache(maxsize=4)(self._compile)
 
     def _compile(self, key: tuple) -> _Compiled:
-        R, T = _fold(*self.terms(dict(key)))
+        d, T = _fold(*self.terms(dict(key)))
+        R = d @ self.zone.basis
         pm = np.concatenate([T, T.conj().swapaxes(-1, -2)]).reshape(2 * len(T), -1) / 2
         C = dC = None
         if T.shape[-1] == 2:
@@ -226,6 +231,14 @@ class HoppingTable:
 
     def _compiled(self, p) -> _Compiled:
         return self._cached(tuple(p.items()))
+
+    def gauge(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """S_1, S_2 with H(k + g_i) = S_i H(k) S_i^dagger: diag e^{2 pi i s_a,i / q}
+        over the orbitals a, the identity for a table without sites."""
+        _, T, *sites = self.terms(p)
+        s, q = _sites(T, sites)
+        phase = np.exp(2j * math.pi * (np.asarray(s) % q) / q)
+        return np.diag(phase[:, 0]), np.diag(phase[:, 1])
 
     @staticmethod
     def _phases(c: _Compiled, kx, ky) -> np.ndarray:
@@ -289,68 +302,85 @@ def _pauli(rows) -> np.ndarray:
     return np.einsum("tc,cij->tij", np.asarray(rows, dtype=complex), PAULI)
 
 
-def _fold(R, T) -> tuple[np.ndarray, np.ndarray]:
-    """Terms with each -R folded into +R and equal R merged.
+def _sites(T, sites: list) -> tuple[np.ndarray, int]:
+    """The sites ``(s, q)`` a terms function returned, else all at the origin."""
+    return sites[0] if sites else (np.zeros((np.shape(T)[-1], 2), dtype=int), 1)
 
-    Herm(T e^{-ik.R}) = Herm(T^dagger e^{ik.R}), so a term in the lower
-    half-plane becomes its mirror with the adjoint coefficient; the table then
-    costs one exponential per distinct +-R pair.
+
+def _fold(n, T, sites=None) -> tuple[np.ndarray, np.ndarray]:
+    """Terms keyed by their displacement d in the lattice basis (on the exact
+    integer q d), each -d folded into +d and equal d merged.
+
+    With sites, each nonzero element (a, b) of T_n is a term of its own at
+    d = n + (s_a - s_b) / q.  Herm(T e^{-ik.R}) = Herm(T^dagger e^{ik.R}), so a
+    term in the lower half-plane becomes its mirror with the adjoint
+    coefficient; the table then costs one exponential per distinct +-d pair.
     """
-    R = np.asarray(R, dtype=float).reshape(-1, 2)
+    d = np.asarray(n).reshape(-1, 2)
     T = np.asarray(T, dtype=complex)
-    flip = (R[:, 1] < 0) | ((R[:, 1] == 0) & (R[:, 0] < 0))
-    R = np.where(flip[:, None], -R, R)
+    q = 1
+    if sites is not None:
+        s, q = np.asarray(sites[0]), sites[1]
+        t, a, b = np.nonzero(T)
+        d = q * d[t] + s[a] - s[b]
+        E = np.zeros((len(t),) + T.shape[1:], dtype=complex)
+        E[np.arange(len(t)), a, b] = T[t, a, b]
+        T = E
+    if d.dtype.kind != "i":  # a Cartesian R or a fractional site is refused, not truncated
+        raise ModelError(f"lattice vectors n and sites (s, q) must be integers, got {d.dtype}")
+    flip = (d[:, 1] < 0) | ((d[:, 1] == 0) & (d[:, 0] < 0))
+    d = np.where(flip[:, None], -d, d)
     T = np.where(flip[:, None, None], T.conj().swapaxes(-1, -2), T)
-    key = np.round(R[:, 0], 9) + 1j * np.round(R[:, 1], 9)  # sorts as the rows (x, y) do
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    width = 2 * np.abs(d[:, 0]).max(initial=0) + 1  # d[:, 1] >= 0 now: one key per d
+    _, first, group = np.unique(d[:, 1] * width + d[:, 0], return_index=True, return_inverse=True)
     merged = np.zeros((len(first),) + T.shape[1:], dtype=complex)
     np.add.at(merged, group.ravel(), T)
-    return R[first], merged
+    return d[first] / q, merged
 
 
 # ---------------------------------------------------------------------------
 # lattice geometry and base tables
 # ---------------------------------------------------------------------------
 
-HONEYCOMB_A = np.array([[0.0, 1.0], [SQRT3 / 2, -0.5], [-SQRT3 / 2, -0.5]])
-HONEYCOMB_B = np.array([[SQRT3, 0.0], [-SQRT3 / 2, 1.5], [-SQRT3 / 2, -1.5]])
-HONEYCOMB_C = -2.0 * HONEYCOMB_A
+# honeycomb lattice a1 = (sqrt3/2, 3/2), a2 = (-sqrt3/2, 3/2); its table has no sites
 HONEYCOMB_ZONE = BrillouinZone(
     g1=(2 * math.pi / SQRT3, 2 * math.pi / 3), g2=(-2 * math.pi / SQRT3, 2 * math.pi / 3)
 )
 K_POINT = np.array([4 * math.pi / (3 * SQRT3), 0.0])
 
-# triangular lattice: nearest vectors w_j and second-nearest u_j with the sign
-# pattern fixed so the Chern number is exactly 3x the honeycomb value at
-# matched parameters (the only pattern, up to conjugacy, that does this)
-TRI_W = np.array([[1.0, 0.0], [0.5, SQRT3 / 2], [-0.5, SQRT3 / 2]])
-TRI_W_SIGNS = np.array([1.0, -1.0, 1.0])
-TRI_U = np.array([[1.5, SQRT3 / 2], [0.0, SQRT3], [-1.5, SQRT3 / 2]])
+# triangular lattice a1 = (1, 0), a2 = (1/2, sqrt3/2); the sign pattern of the
+# first and second neighbors makes the Chern number exactly 3x the honeycomb
+# value at matched parameters (the only pattern, up to conjugacy, that does this)
 TRI_U_SIGNS = np.array([1.0, -1.0, 1.0])
 TRIANGULAR_ZONE = BrillouinZone(
     g1=(2 * math.pi, -2 * math.pi / SQRT3), g2=(0.0, 4 * math.pi / SQRT3)
 )
 
-KAGOME_A = np.array([[1.0, 0.0], [0.5, SQRT3 / 2], [-0.5, SQRT3 / 2]])
+# kagome lattice a1 = (2, 0), a2 = (1, sqrt3): sites 0, a1/2 and a2/2
 KAGOME_ZONE = BrillouinZone(g1=(math.pi, -math.pi / SQRT3), g2=(0.0, 2 * math.pi / SQRT3))
+_KAGOME_SITES = np.array([[0, 0], [1, 0], [0, 1]])
+#: bonds 0-1, 0-2 and 1-2 at n = 0 and at n = s_b - s_a
+_KAGOME_N = np.array([[0, 0], [1, 0], [0, 0], [0, 1], [0, 0], [-1, 1]])
 
-_HONEYCOMB_R = np.concatenate(
-    [HONEYCOMB_A - HONEYCOMB_A[0], HONEYCOMB_B, HONEYCOMB_C - HONEYCOMB_A[0]]
+# honeycomb: the A -> B bonds less the first, the second neighbors, the third neighbors
+# less the first bond; triangular: the signed first and the second neighbors, the origin
+_HONEYCOMB_N = np.array(
+    [[0, 0], [0, -1], [-1, 0], [1, -1], [0, 1], [-1, 0], [-1, -1], [-1, 1], [1, -1]]
 )
-_TRIANGULAR_R = np.concatenate([TRI_W_SIGNS[:, None] * TRI_W, TRI_U, [[0.0, 0.0]]])
-_SQUARE_R = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_KAGOME_BONDS = ((0, 1), (0, 2), (1, 2))
+_TRIANGULAR_N = np.array([[1, 0], [0, -1], [-1, 1], [1, 1], [-1, 2], [-2, 1], [0, 0]])
+_SQUARE_N = np.array([[0, 0], [1, 0], [0, 1]])
 
 
 def _honeycomb(p):
     """h1 + i h2 = t1 sum_j e^{ik.(a_j - a_1)} [+ t3 sum_j e^{ik.(c_j - a_1)}],
-    h3 = m - 2 t2 sin(phi) sum_j sin(k.b_j), h0 = 2 t2 cos(phi) sum_j cos(k.b_j)."""
+    h3 = m - 2 t2 sin(phi) sum_j sin(k.b_j), h0 = 2 t2 cos(phi) sum_j cos(k.b_j),
+    with a_j the three A -> B bonds, b_j the second and c_j the third neighbors."""
     t, s = p["t1"], 2 * p["t2"]
     b = [0, 0, 1j * s * math.sin(p["phi"]), s * math.cos(p["phi"])]
     rows = [[t, -1j * t, p["m"], 0], [t, -1j * t, 0, 0], [t, -1j * t, 0, 0], b, b, b]
     if "t3" in p:
         rows += [[p["t3"], -1j * p["t3"], 0, 0]] * 3
-    return _HONEYCOMB_R[: len(rows)], _pauli(rows)
+    return _HONEYCOMB_N[: len(rows)], _pauli(rows)
 
 
 def _triangular(p):
@@ -359,34 +389,34 @@ def _triangular(p):
     t, s = p["t1"], 2 * p["t2"]
     sin, cos = 1j * s * math.sin(p["phi"]), s * math.cos(p["phi"])
     u = [[0, 0, sg * sin, sg * cos] for sg in TRI_U_SIGNS]
-    return _TRIANGULAR_R, _pauli([[-t, 1j * t, 0, 0]] * 3 + u + [[0, 0, p["m"], 0]])
+    return _TRIANGULAR_N, _pauli([[-t, 1j * t, 0, 0]] * 3 + u + [[0, 0, p["m"], 0]])
 
 
 def _kagome(p):
-    """Sites 0-1, 0-2 and 1-2 hop across +-a_1, +-a_2 and +-a_3: H_ij = z cos(k.a_j)
-    with z = -2 (t1 - i u1), conjugated on the 0-2 bond."""
+    """Sites a and b of bonds 0-1, 0-2 and 1-2 hop to both neighbors at
+    +-(s_b - s_a) / 2: H_ab = z cos(k.(s_b - s_a) / 2) with z = -2 (t1 - i u1),
+    conjugated on the 0-2 bond."""
     z = -2 * complex(p["t1"], -p["u1"])
-    T = np.zeros((3, 3, 3), dtype=complex)
-    for j, ((a, b), w) in enumerate(zip(_KAGOME_BONDS, (z, z.conjugate(), z))):
-        T[j, a, b], T[j, b, a] = w, w.conjugate()
-    return KAGOME_A, T
+    T = np.zeros((6, 3, 3), dtype=complex)
+    T[0:2, 0, 1], T[2:4, 0, 2], T[4:6, 1, 2] = z, z.conjugate(), z
+    return _KAGOME_N, T, (_KAGOME_SITES, 2)
 
 
 def _bhz(p):
     """h = (t1 sin kx, t1 sin ky, m - t1 cos kx - t1 cos ky)."""
     t = p["t1"]
-    return _SQUARE_R, _pauli([[0, 0, p["m"], 0], [-1j * t, 0, -t, 0], [0, -1j * t, -t, 0]])
+    return _SQUARE_N, _pauli([[0, 0, p["m"], 0], [-1j * t, 0, -t, 0], [0, -1j * t, -t, 0]])
 
 
 def _mb_dirac(p):
     """h = (sin kx, sin ky, M - B sin^2(kx/2) - B sin^2(ky/2))."""
     b = p["B"] / 2
-    return _SQUARE_R, _pauli([[0, 0, p["M"] - p["B"], 0], [-1j, 0, b, 0], [0, -1j, b, 0]])
+    return _SQUARE_N, _pauli([[0, 0, p["M"] - p["B"], 0], [-1j, 0, b, 0], [0, -1j, b, 0]])
 
 
 def _collapse(p):
     """The fixed smooth degree-one map -(sin kx, sin ky, cos kx + cos ky - 1)."""
-    return _SQUARE_R, _pauli([[0, 0, 1, 0], [1j, 0, -1, 0], [0, 1j, -1, 0]])
+    return _SQUARE_N, _pauli([[0, 0, 1, 0], [1j, 0, -1, 0], [0, 1j, -1, 0]])
 
 
 def _square_power(p):
@@ -395,15 +425,15 @@ def _square_power(p):
     d = _integer(p, "d")
     if d < 0:
         raise ModelError(f"square_power needs an integer power d >= 0, got {p['d']}")
-    R = [_SQUARE_R]
+    n = [_SQUARE_N]
     rows = [[0, 0, p["m0"], 0], [0, 0, -1j * p["gamma1"], 0], [0, 0, -1j * p["gamma2"], 0]]
     for j in range(d + 1):
         c = math.comb(d, j) * p["alpha"] ** (d - j) * (1j * p["beta"]) ** j / 2**d
         for l, m in itertools.product(range(d - j + 1), range(j + 1)):
             w = c * math.comb(d - j, l) * math.comb(j, m)
-            R.append([[d - j - 2 * l, j - 2 * m]])
+            n.append([[d - j - 2 * l, j - 2 * m]])
             rows.append([w, -1j * w, 0, 0])
-    return np.concatenate(R), _pauli(rows)
+    return np.concatenate(n), _pauli(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -428,40 +458,40 @@ def _whole(value, name: str, positive: bool) -> int:
     return int(value)
 
 
-def _dilated(terms: Callable, ns: tuple) -> Callable:
-    """R -> (n1 Rx, n2 Ry) on every term: the model at k -> (n1 kx, n2 ky).  Each of
-    ``ns`` is an integer or the name of an integer parameter."""
+def _dilated(terms: Callable, ms: tuple) -> Callable:
+    """n -> (m1 n1, m2 n2) on every term and site: the model at fractional coordinates
+    (m1 s, m2 t).  Each of ``ms`` is an integer or the name of an integer parameter."""
 
     def scaled(p):
-        R, T = terms(p)
-        n = [_integer(p, x) if isinstance(x, str) else x for x in ns]
-        return np.asarray(R, dtype=float) * n, T
+        n, T, *sites = terms(p)
+        m = [_integer(p, x) if isinstance(x, str) else x for x in ms]
+        return (np.asarray(n) * m, T, *((np.asarray(s) * m, q) for s, q in sites))
 
     return scaled
 
 
 def _hopping(terms: Callable) -> Callable:
-    """R -> N R, N = p["N"], on the terms that hop between orbitals (off-diagonal
-    T_R; for 2 bands, the (h1, h2) part): the hopping-only family."""
+    """n -> N n, N = p["N"], on the terms that hop between orbitals (off-diagonal
+    T_n; for 2 bands, the (h1, h2) part): the hopping-only family."""
 
     def scaled(p):
-        R, T = terms(p)
+        n, T = terms(p)
         hops = (T * (1 - np.eye(T.shape[-1]))).any(axis=(1, 2))
-        return np.where(hops[:, None], _integer(p, "N") * R, R), T
+        return np.where(hops[:, None], _integer(p, "N") * np.asarray(n), n), T
 
     return scaled
 
 
 def _rotated(terms: Callable, rot: np.ndarray) -> Callable:
-    """h -> rot h for a rotation ``rot``: the Pauli rows of every T_R turn and the
-    identity row stays.  This is T_R -> U T_R U^dagger with U the SU(2) lift of
+    """h -> rot h for a rotation ``rot``: the Pauli rows of every T_n turn and the
+    identity row stays.  This is T_n -> U T_n U^dagger with U the SU(2) lift of
     ``rot``, so the spectrum and ``gap_slope`` are unchanged."""
 
     def rotated(p):
-        R, T = terms(p)
+        n, T = terms(p)
         c = np.einsum("cji,tij->tc", PAULI, np.asarray(T, dtype=complex)) / 2
         c[:, :3] = c[:, :3] @ rot.T
-        return R, _pauli(c)
+        return n, _pauli(c)
 
     return rotated
 
@@ -476,60 +506,36 @@ _POWER = {"alpha": 1.0, "beta": 1.0, "gamma1": 0.5, "gamma2": 0.25, "m0": 0.0, "
 
 
 def _model(name, terms, lattice, defaults, bands=2, **fields) -> BlochModel:
-    zone = _ZONES.get(lattice, SQUARE_ZONE)
-    return BlochModel(name, bands, lattice, dict(defaults), zone, HoppingTable(terms), **fields)
+    table = HoppingTable(terms, _ZONES.get(lattice, SQUARE_ZONE))
+    return BlochModel(name, bands, lattice, dict(defaults), table, **fields)
 
 
-def _with_terms(model: BlochModel, terms: Callable, **changes) -> BlochModel:
-    """The model on a new table of ``terms``, with the callbacks it derives reset:
-    ``dataclasses.replace(model, table=...)`` alone would keep the old table's."""
-    return dataclasses.replace(model, table=HoppingTable(terms), field=None, jac12=None, **changes)
-
-
-def _haldane(name, defaults=_HALDANE_N, extra=None, terms=_honeycomb, **fields):
-    geometry = {"a": HONEYCOMB_A, "b": HONEYCOMB_B, **(extra or {})}
-    return _model(name, terms, "honeycomb", defaults, geometry=geometry, **fields)
-
-
-def _triangular_model(name, terms=_triangular, defaults=_HALDANE_N, **fields):
-    return _model(name, terms, "triangular", defaults, **fields)
-
-
-def _kagome_model(name, defaults, terms=_kagome):
-    gauge = (np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1.0, -1.0]))
-    geometry = {"a": KAGOME_A, "gauge_matrices": gauge}
-    return _model(name, terms, "kagome", defaults, 3, geometry=geometry, periodicity="conjugate")
+def _with_terms(model: BlochModel, terms: Callable, zone=None, **changes) -> BlochModel:
+    """The model on a new table of ``terms`` on ``zone`` (by default the model's), with
+    the callbacks it derives reset: ``dataclasses.replace`` alone would keep the old."""
+    table = HoppingTable(terms, model.zone if zone is None else zone)
+    return dataclasses.replace(model, table=table, field=None, jac12=None, **changes)
 
 
 _NN = ("N", "N")
 
-_CATALOG: dict[str, Callable[[], BlochModel]] = {
-    "haldane": lambda: _haldane("haldane", _HALDANE, {"K": K_POINT}, hopping_family="haldane_n"),
-    "haldane3nn": lambda: _haldane("haldane3nn", _HALDANE3NN, extra={"c": HONEYCOMB_C}),
-    "haldane_n2": lambda: _haldane("haldane_n2", terms=_dilated(_honeycomb, _NN)),
-    "haldane_n": lambda: _haldane("haldane_n", terms=_hopping(_honeycomb)),
-    "bhz_square": lambda: _model(
-        "bhz_square", _bhz, "square", _BHZ, geometry={"a": np.eye(2)[:1], "b": np.eye(2)[1:]}
-    ),
-    "square_n2": lambda: _model("square_n2", _dilated(_bhz, _NN), "square", {**_BHZ, "N": 2}),
-    "square_power": lambda: _model("square_power", _square_power, "square", _POWER),
-    "triangular": lambda: _triangular_model(
-        "triangular",
-        defaults=_HALDANE,
-        geometry={"w": TRI_W, "u": TRI_U, "w_signs": TRI_W_SIGNS, "u_signs": TRI_U_SIGNS},
-        hopping_family="triangular_n",
-    ),
-    "triangular_n2": lambda: _triangular_model("triangular_n2", _dilated(_triangular, _NN)),
-    "triangular_n": lambda: _triangular_model("triangular_n", _hopping(_triangular)),
-    "kagome": lambda: _kagome_model("kagome", _KAGOME),
-    "kagome_n2": lambda: _kagome_model("kagome_n2", {**_KAGOME, "N": 3}, _dilated(_kagome, _NN)),
-    "mb_dirac": lambda: _model("mb_dirac", _mb_dirac, "square", {"M": 1.0, "B": 1.0}),
-    "spin_ssphere": lambda: _model(
-        "spin_ssphere", _dilated(_collapse, ("d", 1)), "square", {"d": 1}
-    ),
-    "torus_wind": lambda: _model(
-        "torus_wind", _dilated(_collapse, ("d1", "d2")), "square", {"d1": 2, "d2": 3}
-    ),
+#: name -> terms, lattice, defaults and any further BlochModel fields
+_CATALOG: dict[str, tuple] = {
+    "haldane": (_honeycomb, "honeycomb", _HALDANE, {"hopping_family": "haldane_n"}),
+    "haldane3nn": (_honeycomb, "honeycomb", _HALDANE3NN),
+    "haldane_n2": (_dilated(_honeycomb, _NN), "honeycomb", _HALDANE_N),
+    "haldane_n": (_hopping(_honeycomb), "honeycomb", _HALDANE_N),
+    "bhz_square": (_bhz, "square", _BHZ),
+    "square_n2": (_dilated(_bhz, _NN), "square", {**_BHZ, "N": 2}),
+    "square_power": (_square_power, "square", _POWER),
+    "triangular": (_triangular, "triangular", _HALDANE, {"hopping_family": "triangular_n"}),
+    "triangular_n2": (_dilated(_triangular, _NN), "triangular", _HALDANE_N),
+    "triangular_n": (_hopping(_triangular), "triangular", _HALDANE_N),
+    "kagome": (_kagome, "kagome", _KAGOME, {"bands": 3}),
+    "kagome_n2": (_dilated(_kagome, _NN), "kagome", {**_KAGOME, "N": 3}, {"bands": 3}),
+    "mb_dirac": (_mb_dirac, "square", {"M": 1.0, "B": 1.0}),
+    "spin_ssphere": (_dilated(_collapse, ("d", 1)), "square", {"d": 1}),
+    "torus_wind": (_dilated(_collapse, ("d1", "d2")), "square", {"d1": 2, "d2": 3}),
 }
 
 
@@ -539,9 +545,10 @@ def catalog() -> list[str]:
 
 def builtin_model(name: str) -> BlochModel:
     try:
-        return _CATALOG[name]()
+        terms, lattice, defaults, *fields = _CATALOG[name]
     except KeyError:
         raise ModelError(f"unknown model {name!r}; known: {', '.join(catalog())}") from None
+    return _model(name, terms, lattice, defaults, **dict(*fields))
 
 
 # ---------------------------------------------------------------------------
@@ -599,54 +606,38 @@ def scale_model(model: BlochModel, N: int, which: str = "all") -> BlochModel:
 
 
 def _folded(terms: Callable, N: int) -> Callable:
-    """Term R moves cell s of the N x N super-cell to (s + R) mod N: T'_R = P_R (x) T_R
-    with P_R that cell shift, and R unchanged.  The P_R commute and are diagonal in
-    the cells' Fourier basis, with e^{-iv.R} on the shift v, so H'(k) is unitarily
-    equivalent to the block-diagonal sum of H(k + v) over the N^2 shifts v."""
+    """The N x N super-cell: orbital a of cell c sits at (c + s_a / q) / N in the
+    super-cell's coordinates, and a term n takes cell c to cell (c + n) mod N of
+    the super-cell (c + n) // N.  Each term splits into one per cell, every
+    element keeping its displacement, so H'(k) is unitarily equivalent to the
+    block-diagonal sum of H(k + v) over the N^2 shifts v = (c1 g1 + c2 g2) / N."""
     cells = np.array(list(itertools.product(range(N), repeat=2)))
 
     def folded(p):
-        R, T = terms(p)
-        R = np.asarray(R, dtype=float).reshape(-1, 2)
-        Ri = np.round(R).astype(int)
-        if not np.array_equal(Ri, R):
-            raise ModelError("fold_bands needs integer lattice vectors R")
-        to = ((cells[None] + Ri[:, None]) % N) @ [N, 1]  # (T, N^2) target cell indices
-        P = np.eye(N * N)[to].swapaxes(1, 2)  # P[t, to[t, s], s] = 1
-        n = N * N * T.shape[-1]
-        return R, np.einsum("tab,tij->taibj", P, T).reshape(len(R), n, n)
+        n, T, *sites = terms(p)
+        s, q = _sites(T, sites)
+        to = np.asarray(n).reshape(-1, 1, 2) + cells  # (T, N^2, 2): where cell c lands
+        t, c = np.indices(to.shape[:2])
+        nb, size = T.shape[-1], N * N * T.shape[-1]
+        F = np.zeros(to.shape[:2] + (N * N, nb, N * N, nb), dtype=complex)
+        F[t, c, (to % N) @ [N, 1], :, c, :] = T[t]
+        super_sites = (q * cells[:, None] + np.asarray(s)).reshape(-1, 2)
+        return (to // N).reshape(-1, 2), F.reshape(-1, size, size), (super_sites, q * N)
 
     return folded
 
 
 def fold_bands(model: BlochModel, N: int) -> BlochModel:
-    """Super-cell table model: its eigenvalues at k are the union over the N^2
-    reciprocal shifts v of the original spectra at k + v (square zones only).
-
-    The folded matrix is periodic on the folded zone up to conjugation by the
-    cell phases e^{2 pi i s_x / N} and e^{2 pi i s_y / N}
-    (``geometry["gauge_matrices"]``, with H(k + g) = S H(k) S^dagger)."""
+    """Super-cell table model on any lattice: its eigenvalues at k are the union
+    over the N^2 reciprocal shifts v of the original spectra at k + v.  The cells
+    become sites, so its ``table.gauge`` carries the cell phases e^{2 pi i c_i / N}."""
     N = _whole(N, "N", positive=True)
-    zone = model.zone
-    if not (
-        np.allclose(zone.g1, [2 * math.pi, 0]) and np.allclose(zone.g2, [0, 2 * math.pi])
-    ):
-        raise ModelError("fold_bands requires a square 2pi x 2pi zone")
     if N == 1:
         return model
-    nb = model.bands * N * N
-    phases = np.exp(2j * math.pi / N * np.array(list(itertools.product(range(N), repeat=2))))
-    gauge = tuple(np.diag(np.repeat(phases[:, i], model.bands)) for i in (0, 1))
-    return _with_terms(
-        model,
-        _folded(model.table.terms, N),
-        name=f"{model.name}_folded{N}",
-        bands=nb,
-        zone=BrillouinZone(g1=zone.g1 / N, g2=zone.g2 / N),
-        geometry={"gauge_matrices": gauge},
-        periodicity="conjugate",
-        hopping_family=None,
-    )
+    zone = BrillouinZone(g1=model.zone.g1 / N, g2=model.zone.g2 / N)
+    name, bands = f"{model.name}_folded{N}", model.bands * N * N
+    terms = _folded(model.table.terms, N)
+    return _with_terms(model, terms, zone, name=name, bands=bands, hopping_family=None)
 
 
 # ---------------------------------------------------------------------------
@@ -718,17 +709,18 @@ def pre_dirac_points(
         f = model.field(p, k[alive, 0], k[alive, 1])[:, :2]
         done = np.hypot(f[:, 0], f[:, 1]) < 1e-10
         converged[alive[done]] = True
-        alive, f = alive[~done], f[~done]
-        if not alive.size:
-            break
         a, b, c, d = model.jac12(p, k[alive, 0], k[alive, 1]).reshape(-1, 4).T
         det = a * d - b * c
         regular = det != 0  # where np.linalg.solve would raise: the seed is dropped
         step = np.stack([d * f[:, 0] - b * f[:, 1], a * f[:, 1] - c * f[:, 0]], axis=-1)
         step = step[regular] / det[regular, None]
-        alive = alive[regular]
         norm = np.hypot(step[:, 0], step[:, 1])[:, None]
-        k[alive] -= np.where(norm > 2.0, 2.0 * step / norm, step)
+        # a converged seed takes this step too: near a pair creation |f| < 1e-10 can
+        # leave two copies of one zero ~1e-8 apart, on either side of a seam key
+        k[alive[regular]] -= np.divide(2.0 * step, norm, out=step, where=norm > 2.0)
+        alive = alive[regular & ~done]
+        if not alive.size:
+            break
     if not converged.any():
         return []
 

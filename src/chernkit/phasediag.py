@@ -521,6 +521,11 @@ class WallFamily:
     d: int
     dprime: int
 
+    def __post_init__(self):
+        d, dprime = _integers("d and d'", self.d, self.dprime)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "dprime", dprime)
+
     @property
     def delta(self) -> int:
         return abs(self.d - self.dprime)
@@ -554,7 +559,7 @@ def _integers(names: str, *values) -> tuple[int, ...]:
 
 
 def wall_family(d: int, dprime: int) -> WallFamily:
-    return WallFamily(*_integers("d and d'", d, dprime))
+    return WallFamily(d, dprime)
 
 
 def wall_zeros(d: int, dprime: int) -> list[float]:

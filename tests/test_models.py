@@ -18,6 +18,7 @@ from chernkit.invariants import (
 )
 from chernkit.phasediag import critical_points
 from chernkit.models import (
+    K_POINT,
     BlochModel,
     BrillouinZone,
     HoppingTable,
@@ -47,6 +48,10 @@ TWO_BAND = [n for n in ALL_MODELS if builtin_model(n).bands == 2]
 #: its defaults and two +-20% draws, unrotated (probe null) and on the six ray probes
 with open(Path(__file__).parent / "data" / "pre_dirac_reference.json", encoding="utf-8") as _fh:
     PRE_DIRAC_REFERENCE = json.load(_fh)
+#: assemble at 4 seeded k and gap_slope of folded and kagome_n2 tables, and gap_slope
+#: of every catalog model at its defaults, recorded while tables held Cartesian R
+with open(Path(__file__).parent / "data" / "derived_reference.json", encoding="utf-8") as _fh:
+    DERIVED_REFERENCE = json.load(_fh)
 RAYS = list(_ray_perturbations())
 
 
@@ -130,6 +135,21 @@ def test_degenerate_zone_rejected():
         BrillouinZone(g1=(1.0, 2.0), g2=(2.0, 4.0))
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        lambda p: ([[0.5, 0.0]], models._pauli([[0, 0, 1, 0]])),
+        lambda p: ([[0, 0]], np.eye(2)[None], ([[0, 0], [0.5, 0]], 1)),
+    ],
+    ids=["cartesian-R", "fractional-site"],
+)
+def test_table_refuses_non_integer_lattice_coordinates(terms):
+    """n and the site numerators are integers: a float is refused, not truncated."""
+    model = BlochModel("float", 2, "square", {}, HoppingTable(terms, models.SQUARE_ZONE))
+    with pytest.raises(ModelError, match="must be integers"):
+        assemble(model, None, (0.3, 0.7))
+
+
 # ---------------------------------------------------------------------------
 # pinned field values
 # ---------------------------------------------------------------------------
@@ -137,7 +157,7 @@ def test_degenerate_zone_rejected():
 
 def test_haldane_field_vanishes_at_K():
     h = builtin_model("haldane")
-    K = h.geometry["K"]
+    K = K_POINT
     for m in (0.0, 0.7, -2.0):
         f = eval_field(h, {"m": m}, K)
         assert abs(f[0]) < 1e-12 and abs(f[1]) < 1e-12
@@ -145,7 +165,7 @@ def test_haldane_field_vanishes_at_K():
 
 def test_haldane_h3_at_K():
     h = builtin_model("haldane")
-    K = h.geometry["K"]
+    K = K_POINT
     for m, t2 in [(0.0, 0.5), (0.3, 0.5), (-1.0, 1.0)]:
         f = eval_field(h, {"m": m, "t2": t2, "phi": math.pi / 2}, K)
         assert abs(f[2] - (m + 3 * SQRT3 * t2)) < 1e-12
@@ -153,7 +173,7 @@ def test_haldane_h3_at_K():
 
 def test_haldane_degeneracy_locus():
     h = builtin_model("haldane")
-    K = h.geometry["K"]
+    K = K_POINT
     for t2, phi in [(0.5, math.pi / 2), (1.0, 0.7), (0.8, -1.1)]:
         m_star = -3 * SQRT3 * t2 * math.sin(phi)
         assert gap(h, {"m": m_star, "t2": t2, "phi": phi}, K) < 1e-9
@@ -346,22 +366,33 @@ def test_fractional_integer_params_are_refused(name, param, value):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ALL_MODELS)
-def test_field_periodicity(name):
+@pytest.mark.parametrize(
+    "name, params",
+    [pytest.param(name, None, id=name) for name in ALL_MODELS]
+    + [pytest.param("kagome_n2", {"N": N}, id=f"kagome_n2-N{N}") for N in (2, 3)],
+)
+def test_field_periodicity(name, params):
+    """H(k + g_i) = S_i H(k) S_i^dagger with the gauge the table derives from its
+    sites; where every S_i is the identity the model reads "exact" and its 2-band
+    field is periodic.  kagome_n2 at even N has its sites on lattice points."""
     model = builtin_model(name)
+    p = model.params_with_defaults(params)
     ks = RNG.uniform(-6, 6, (100, 2))
-    if model.periodicity == "exact":
-        f0 = eval_field(model, None, ks)
+    gauge = model.table.gauge(p)
+    exact = all(np.array_equal(S, np.eye(model.bands)) for S in gauge)
+    if params is None:
+        assert model.periodicity == ("exact" if exact else "conjugate"), name
+    if exact and model.bands == 2:
+        f0 = eval_field(model, p, ks)
         for g in (model.zone.g1, model.zone.g2):
-            fg = eval_field(model, None, ks + g)
+            fg = eval_field(model, p, ks + g)
             assert np.max(np.abs(fg - f0)) < 1e-10, name
-    else:
-        S1, S2 = model.geometry["gauge_matrices"]
-        for g, S in ((model.zone.g1, S1), (model.zone.g2, S2)):
-            for k in ks[:25]:
-                H = assemble(model, None, k)
-                Hg = assemble(model, None, k + g)
-                assert np.allclose(Hg, S @ H @ S, atol=1e-10), name
+    for g, S in zip((model.zone.g1, model.zone.g2), gauge):
+        H = assemble(model, p, ks[:25])
+        Hg = assemble(model, p, ks[:25] + g)
+        assert np.allclose(Hg, S @ H @ S.conj().T, atol=1e-10), name
+    if name == "kagome_n2":
+        assert exact == (p["N"] % 2 == 0)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
@@ -384,8 +415,8 @@ def test_traceless_reduction_leaves_eigenvectors(name):
         return R, models._pauli(c)
 
     stripped = BlochModel(
-        model.name + "_traceless", 2, model.lattice, model.defaults, model.zone,
-        HoppingTable(traceless),
+        model.name + "_traceless", 2, model.lattice, model.defaults,
+        HoppingTable(traceless, model.zone),
     )
     for k in RNG.uniform(-4, 4, (20, 2)):
         _, v1 = np.linalg.eigh(assemble(model, None, k))
@@ -431,7 +462,7 @@ def test_haldane_pre_dirac_points_are_K_and_Kprime():
     h = builtin_model("haldane")
     pts = pre_dirac_points(h)
     assert len(pts) == 2
-    K = h.geometry["K"]
+    K = K_POINT
     assert any(same_k(h.zone, p.k, K) for p in pts)
     assert any(same_k(h.zone, p.k, -K) for p in pts)
 
@@ -684,20 +715,62 @@ def test_scale_model_needs_a_nonzero_integer(N):
 def test_fold_bands_rejections():
     with pytest.raises(ModelError):
         fold_bands(builtin_model("bhz_square"), 0)
-    with pytest.raises(ModelError):
-        fold_bands(builtin_model("haldane"), 2)  # non-square zone
 
 
 def test_fold_bands_is_periodic_up_to_the_cell_phases():
     """H(k + g) = S H(k) S^dagger on the folded zone, and H(k + g) != H(k)."""
     folded = fold_bands(builtin_model("bhz_square"), 2)
     assert folded.periodicity == "conjugate"
-    S1, S2 = folded.geometry["gauge_matrices"]
+    S1, S2 = folded.table.gauge(folded.defaults)
     for g, S in ((folded.zone.g1, S1), (folded.zone.g2, S2)):
         for k in RNG.uniform(-3, 3, (10, 2)):
             H, Hg = assemble(folded, None, k), assemble(folded, None, k + g)
             assert np.allclose(Hg, S @ H @ S.conj().T, atol=1e-10)
             assert np.abs(Hg - H).max() > 0.1
+
+
+@pytest.mark.parametrize("name", ["haldane", "triangular", "kagome"])
+def test_fold_bands_on_every_lattice(name):
+    """On any zone the folded spectrum at k is the union of the base spectra at the
+    N^2 shifts k + (c1 g1 + c2 g2) / N, and the folded matrix is periodic up to
+    the gauge its sites give."""
+    base = builtin_model(name)
+    folded = fold_bands(base, 2)
+    shifts = [base.zone.kpoint(c1 / 2, c2 / 2) for c1 in (0, 1) for c2 in (0, 1)]
+    ks = RNG.uniform(-3, 3, (10, 2))
+    direct = np.concatenate([spectrum(assemble(base, None, ks + v)) for v in shifts], axis=-1)
+    assert np.allclose(spectrum(assemble(folded, None, ks)), np.sort(direct), atol=1e-10)
+    H = assemble(folded, None, ks)
+    for g, S in zip((folded.zone.g1, folded.zone.g2), folded.table.gauge(folded.defaults)):
+        Hg = assemble(folded, None, ks + g)
+        assert np.allclose(Hg, S @ H @ S.conj().T, atol=1e-10)
+        assert np.abs(Hg - H).max() > 0.1
+
+
+@pytest.mark.parametrize(
+    "case",
+    DERIVED_REFERENCE["derived"],
+    ids=lambda c: f"{c['model']}-folded{c['fold']}" if c["fold"] else f"{c['model']}-N{c['params']['N']}",
+)
+def test_derived_tables_match_recorded_matrices(case):
+    """The matrix itself, not only its spectrum, and the gap slope of folded and
+    dilated tables: a unitarily equivalent super-cell convention passes every
+    spectral test, yet can change the matrix and multiply gap_slope."""
+    model = builtin_model(case["model"])
+    if case["fold"]:
+        model = fold_bands(model, case["fold"])
+    p = model.params_with_defaults(case["params"])
+    re, im = case["assemble"]
+    err = np.abs(assemble(model, p, np.array(case["k"])) - (np.array(re) + 1j * np.array(im)))
+    assert err.max() < 1e-12
+    assert model.table.gap_slope(p) == pytest.approx(case["gap_slope"], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_gap_slope_matches_recorded(name):
+    model = builtin_model(name)
+    want = DERIVED_REFERENCE["catalog_gap_slope"][name]
+    assert model.table.gap_slope(model.defaults) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [3, -3])

@@ -18,6 +18,7 @@ from chernkit.phasediag import (
     DEGENERATE,
     _covering_radius,
     FanDiagram,
+    WallFamily,
     critical_points,
     dirac_count,
     fan_family,
@@ -650,6 +651,8 @@ def test_fan_validation_errors():
         lambda: wall_family(True, 2),
         lambda: wall_family(1, "2"),
         lambda: rose_curve(1, False, 0.5),
+        lambda: WallFamily(1.5, 3),
+        lambda: WallFamily(1, True),
     ],
 )
 def test_integer_arguments_are_not_truncated(call):
@@ -662,6 +665,8 @@ def test_integral_floats_are_accepted_as_integers():
     assert (fan.k, fan.labels) == (3, (1, 2, 3)) and type(fan.k) is int
     assert dirac_count(1.0, 3) == 2
     assert wall_zeros(1.0, 3.0) == wall_zeros(1, 3)
+    wall = WallFamily(1.0, 3.0)
+    assert (wall.d, wall.dprime) == (1, 3) and type(wall.d) is int
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0])
