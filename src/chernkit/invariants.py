@@ -24,7 +24,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .models import BlochModel, ModelError, _rotated, _with_terms, assemble, pre_dirac_points
+from .models import (
+    BlochModel,
+    ModelError,
+    _int_in,
+    _rotated,
+    _with_terms,
+    assemble,
+    eigh,
+    pre_dirac_points,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,6 +133,12 @@ def _round_result(raw: float, method: str, grid, band, diagnostics):
 # ---------------------------------------------------------------------------
 
 
+def _berry_grid(grid) -> int:
+    """The Berry engine's grid N as an int: at least 4, and refused rather
+    than truncated when it is not an integer."""
+    return _int_in(grid, "grid", 4)
+
+
 def chern_berry_lattice(
     model: BlochModel,
     params: dict | None = None,
@@ -139,16 +154,13 @@ def chern_berry_lattice(
     band the diagnostics also give the grid minimum of the gap above the band
     (``gap_above``) and its k (``gap_above_k``).
     """
-    if not 0 <= band < model.bands:
-        raise ModelError(f"band must be in [0, {model.bands - 1}]")
-    N = int(grid)
-    if N < 4:
-        raise ModelError("grid must be at least 4")
+    band = _int_in(band, "band", 0, model.bands - 1)
+    N = _berry_grid(grid)
     frac = np.arange(N + 1) / N
     S, T = np.meshgrid(frac, frac, indexing="ij")
     K = model.zone.kpoint(S, T)
     H = assemble(model, params, K)
-    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = eigh(H)
 
     gaps = []
     diagnostics = {}
@@ -226,11 +238,8 @@ def degree_integral(
     """
     if model.bands != 2:
         raise MethodInapplicableError("degree_integral requires a 2-band coefficient model")
-    if not 0 <= band <= 1:
-        raise ModelError("band must be 0 or 1")
-    N = int(grid)
-    if N < 8:
-        raise ModelError("grid must be at least 8")
+    band = _int_in(band, "band", 0, 1)
+    N = _int_in(grid, "grid", 8)
     deg, nmin = _degree_quadrature(model, params, N)
     sign = -1 if band == 0 else 1
     return _round_result(
@@ -290,8 +299,7 @@ def degree_ray(
     """
     if model.bands != 2:
         raise MethodInapplicableError("degree_ray requires a 2-band coefficient model")
-    if not 0 <= band <= 1:
-        raise ModelError("band must be 0 or 1")
+    band = _int_in(band, "band", 0, 1)
 
     last_error: Exception | None = None
     for probe in _ray_perturbations():

@@ -159,20 +159,60 @@ def assemble(model: BlochModel, params: dict | None, k) -> np.ndarray:
     return model.table.matrix(p, k[..., 0], k[..., 1])
 
 
+def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns) of a stack of Hermitian
+    matrices, as ``np.linalg.eigh`` returns them; closed form for 2x2.
+
+    With a, c the diagonal, b the conjugate of the entry below it (the
+    triangle LAPACK reads), d = (a - c) / 2 and r = hypot(d, |b|), the
+    eigenvalues are (a + c) / 2 -+ r.  The lower eigenvector is the larger of
+    the null vectors of the first and of the second row of H - lambda_-,
+    (b, -(d + r)) and (d - r, conj b), whose free entry is -(|d| + r) in
+    either case, so no cancellation occurs; the upper one is its orthogonal
+    complement.  Each point takes its own phase,
+    which gauge-invariant consumers (the Berry plaquettes) may.  Where r = 0
+    both candidates vanish and the vectors are the unit columns.  Other sizes
+    go to ``np.linalg.eigh``.
+    """
+    H = np.asarray(H)
+    if H.shape[-1] != 2:
+        return np.linalg.eigh(H)
+    a, c, b = H[..., 0, 0].real, H[..., 1, 1].real, H[..., 1, 0].conj()
+    d, mid, babs = (a - c) / 2, (a + c) / 2, np.abs(b)
+    r = np.hypot(d, babs)
+    s = np.abs(d) + r
+    flip = d < 0
+    zero = s == 0  # r = 0: the unit columns, with no division by zero
+    norm = np.hypot(babs, s) + zero
+    u0 = (np.where(flip, -s, b) + zero) / norm
+    u1 = np.where(flip, b.conj(), -s) / norm
+    vecs = np.stack([u0, -u1.conj(), u1, u0.conj()], axis=-1)
+    return np.stack([mid - r, mid + r], axis=-1), vecs.reshape(H.shape)
+
+
 def spectrum(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (stack of) Hermitian matrices."""
-    return np.linalg.eigvalsh(H)
+    """Ascending eigenvalues of a (stack of) Hermitian matrices: those of
+    :func:`eigh`, so a 2x2 stack takes the closed form and larger matrices
+    ``np.linalg.eigvalsh``."""
+    H = np.asarray(H)
+    if H.shape[-1] != 2:
+        return np.linalg.eigvalsh(H)
+    return eigh(H)[0]
 
 
-def _check_gap_band(model: BlochModel, band: int) -> None:
+def _check_gap_band(model: BlochModel, band: int) -> int:
     """A gap lies above ``band`` only below the top band."""
-    if not 0 <= band <= model.bands - 2:
-        raise ModelError(f"band must be in [0, {model.bands - 2}]")
+    return _int_in(band, "band", 0, model.bands - 2)
 
 
 def gap(model: BlochModel, params: dict | None, k, band: int = 0) -> float:
-    """Gap above the given band at k (2-band models use the closed form)."""
-    _check_gap_band(model, band)
+    """Gap above the given band at k.
+
+    A 2-band model's gap is 2 |h|, the 2r of :func:`eigh`'s closed form read
+    from the field without assembling H; larger models take it from
+    :func:`spectrum`, that is from ``np.linalg.eigvalsh``.
+    """
+    band = _check_gap_band(model, band)
     if model.bands == 2:
         h = eval_field(model, params, k)
         return float(2.0 * np.linalg.norm(h, axis=-1))
@@ -448,13 +488,27 @@ def _integer(p: dict, name: str) -> int:
     return int(p[name])
 
 
+def _is_int(value) -> bool:
+    """2.0 counts as an integer, while a bool, a string or 2.5 does not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and float(value).is_integer()
+
+
 def _whole(value, name: str, positive: bool) -> int:
-    """``value`` as an int, refused unless it is a positive (or a nonzero) integer:
-    2.0 is accepted, while a bool, a string or 2.5 is refused rather than coerced."""
-    whole = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (whole and float(value).is_integer() and value != 0 and (value > 0 or not positive)):
+    """``value`` as an int, refused unless it is a positive (or a nonzero) integer
+    rather than coerced."""
+    if not (_is_int(value) and value != 0 and (value > 0 or not positive)):
         kind = "a positive" if positive else "a nonzero"
         raise ModelError(f"{name} must be {kind} integer, got {value!r}")
+    return int(value)
+
+
+def _int_in(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in [lo, hi] (no upper end when hi is None), refused
+    rather than truncated or coerced."""
+    if not (_is_int(value) and lo <= value and (hi is None or value <= hi)):
+        span = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ModelError(f"{name} must be an integer {span}, got {value!r}")
     return int(value)
 
 

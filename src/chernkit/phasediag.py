@@ -24,6 +24,7 @@ from .invariants import (
     DegenerateFamilyError,
     InvariantError,
     PlanarCurve,
+    _berry_grid,
     chern_berry_lattice,
     sphere_map_degree,
     winding_number,
@@ -36,6 +37,7 @@ from .models import (
     assemble,
     gap,
     pre_dirac_points,
+    spectrum,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -64,12 +66,13 @@ def minimum_gap(
     """
     from scipy import optimize  # imported on first use; it is slow to import
 
-    _check_gap_band(model, band)
+    band = _check_gap_band(model, band)
+    kgrid = _whole(kgrid, "kgrid", positive=True)
     p = model.params_with_defaults(params)
     frac = np.arange(kgrid) / kgrid
     S, T = np.meshgrid(frac, frac, indexing="ij")
     K = model.zone.kpoint(S, T)
-    vals = np.linalg.eigvalsh(assemble(model, p, K))
+    vals = spectrum(assemble(model, p, K))
     gaps = vals[..., band + 1] - vals[..., band]
     idx = np.unravel_index(np.argmin(gaps), gaps.shape)
     x0 = np.array([S[idx], T[idx]])
@@ -171,7 +174,7 @@ def scan(
     axes = [tuple(a) for a in axes]
     if not 1 <= len(axes) <= 2:
         raise ModelError("scan supports 1 or 2 axes")
-    _check_gap_band(model, band)
+    band = _check_gap_band(model, band)
     if not (math.isfinite(degeneracy_threshold) and degeneracy_threshold >= 0):
         raise ModelError(
             f"degeneracy_threshold must be finite and >= 0, got {degeneracy_threshold!r}"
@@ -181,6 +184,9 @@ def scan(
         if name not in schema:
             raise ModelError(f"axis {name!r} is not a parameter of {model.name}")
     named = [_axis_values(a) for a in axes]
+    grid = _berry_grid(grid)
+    kgrid = _whole(kgrid, "kgrid", positive=True)
+    delta = _covering_radius(model.zone, grid)
 
     indices = list(np.ndindex(*(len(v) for _, v in named)))
 
@@ -194,7 +200,7 @@ def scan(
             if isinstance(berry, ChernResult):
                 gmin = berry.diagnostics["gap_above"]
                 slope = model.table.gap_slope(model.params_with_defaults(params))
-                if gmin - slope * _covering_radius(model.zone, int(grid)) >= degeneracy_threshold:
+                if gmin - slope * delta >= degeneracy_threshold:
                     loc = berry.diagnostics["gap_above_k"]
                     return Cell(index, params, berry.value, gmin, loc, certified=True)
             gmin, loc = minimum_gap(model, params, band=band, kgrid=kgrid)
@@ -474,7 +480,7 @@ def locate_transition(
     :class:`ModelError` when the gap does not drop below
     ``DEGENERACY_THRESHOLD`` on the bracket.
     """
-    _check_gap_band(model, band)
+    band = _check_gap_band(model, band)
     base = model.params_with_defaults(params)
     _check_axis(model, axis)
 

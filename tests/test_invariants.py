@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chernkit import invariants
 from chernkit.invariants import (
     DegenerateFamilyError,
     InvariantError,
@@ -18,7 +19,7 @@ from chernkit.invariants import (
     sphere_map_degree,
     winding_number,
 )
-from chernkit.models import ModelError, builtin_model, gap, pre_dirac_points, scale_model
+from chernkit.models import ModelError, builtin_model, catalog, gap, pre_dirac_points, scale_model
 
 SQRT3 = math.sqrt(3.0)
 
@@ -161,6 +162,33 @@ def test_berry_records_grid_gap_above_band():
     assert diag["gap_above"] == pytest.approx(gap(kg, None, diag["gap_above_k"], band=1), abs=1e-12)
 
 
+def _berry_or_refusal(model, grid):
+    try:
+        r = chern_berry_lattice(model, grid=grid)
+    except DegenerateFamilyError as exc:
+        return exc.k
+    return r.value, r.raw, r.diagnostics["gap_above"], r.diagnostics["gap_above_k"]
+
+
+@pytest.mark.parametrize("grid", [40, 60])
+@pytest.mark.parametrize("name", [n for n in catalog() if builtin_model(n).bands == 2])
+def test_berry_closed_form_agrees_with_lapack(name, grid, monkeypatch):
+    """The 2x2 kernel changes Berry's raw value and grid gap by rounding only:
+    the reference runs the same engine on np.linalg.eigh."""
+    model = builtin_model(name)
+    ours = _berry_or_refusal(model, grid)
+    monkeypatch.setattr(invariants, "eigh", np.linalg.eigh)
+    ref = _berry_or_refusal(model, grid)
+    if isinstance(ref, np.ndarray):  # a refusal, at the same k
+        assert isinstance(ours, np.ndarray) and np.array_equal(ours, ref)
+        return
+    assert ours[0] == ref[0]
+    assert abs(ours[1] - ref[1]) < 1e-9
+    assert abs(ours[2] - ref[2]) < 1e-12
+    # the grid minimum may be tied to rounding at several k: any of them will do
+    assert abs(gap(model, None, ours[3]) - ref[2]) < 1e-12
+
+
 def test_gauge_randomization_invariance():
     h = builtin_model("haldane")
     base = chern_berry_lattice(h, grid=48)
@@ -280,6 +308,40 @@ def test_degree_integral_rejects_three_band():
 def test_seed_density_must_be_a_positive_integer(run):
     with pytest.raises(ModelError, match="seed_density must be a positive integer"):
         run(builtin_model("bhz_square"))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: chern_berry_lattice(builtin_model("kagome"), band=0.5),
+        lambda: chern_berry_lattice(builtin_model("kagome"), band=True),
+        lambda: chern_berry_lattice(builtin_model("kagome"), band=3),
+        lambda: chern_berry_lattice(builtin_model("haldane"), grid=40.9),
+        lambda: chern_berry_lattice(builtin_model("haldane"), grid="40"),
+        lambda: degree_integral(builtin_model("haldane"), grid=200.5),
+        lambda: degree_integral(builtin_model("haldane"), band=0.5),
+        lambda: degree_ray(builtin_model("haldane"), band=True),
+        lambda: cross_validate(builtin_model("haldane"), grids={"berry": 40.9}),
+        lambda: cross_validate(builtin_model("haldane"), grids={"integral": 200.5}),
+    ],
+    ids=[
+        "berry-band-fraction", "berry-band-bool", "berry-band-range", "berry-grid-fraction",
+        "berry-grid-string", "integral-grid-fraction", "integral-band-fraction",
+        "ray-band-bool", "cross-validate-berry", "cross-validate-integral",
+    ],
+)
+def test_engines_refuse_non_integer_band_and_grid(run):
+    """A fractional, boolean or out-of-range band or grid is refused, not
+    truncated to a smaller grid or left to fail inside numpy."""
+    with pytest.raises(ModelError, match="must be an integer"):
+        run()
+
+
+def test_engines_accept_integral_floats():
+    kagome, haldane = builtin_model("kagome"), builtin_model("haldane")
+    assert chern_berry_lattice(kagome, band=1.0).value == chern_berry_lattice(kagome, band=1).value
+    assert chern_berry_lattice(haldane, grid=40.0).grid == (40, 40)
+    assert degree_integral(haldane, grid=np.int64(100)).grid == (100, 100)
 
 
 @pytest.mark.parametrize("params", [{"bogus": 1.0}, {"m": float("nan")}])

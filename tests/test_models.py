@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chernkit import models
 from chernkit.invariants import (
@@ -26,6 +28,7 @@ from chernkit.models import (
     assemble,
     builtin_model,
     catalog,
+    eigh,
     eval_field,
     fold_bands,
     gap,
@@ -424,6 +427,66 @@ def test_traceless_reduction_leaves_eigenvectors(name):
         for band in (0, 1):
             overlap = abs(np.vdot(v1[:, band], v2[:, band]))
             assert abs(overlap - 1.0) < 1e-10
+
+
+def _hermitian_2x2(kind, a, c, re, im, scale):
+    """One 2x2 Hermitian matrix with entries of size up to 10^scale; ``kind``
+    forces a diagonal matrix with a < c or a > c, or an exact degeneracy."""
+    if kind == "degenerate":
+        c, re, im = a, 0.0, 0.0
+    elif kind in ("rising", "falling"):
+        lo, hi = sorted((a, c))
+        a, c = (lo, hi + 1.0) if kind == "rising" else (hi + 1.0, lo)
+        re = im = 0.0
+    b = complex(re, im)
+    return np.array([[a, b], [b.conjugate(), c]]) * 10.0**scale
+
+
+#: a mantissa of size 1e-3 to 1, or zero, so that entries span 1e-9 to 1e6
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+_MATRIX = st.builds(
+    _hermitian_2x2,
+    st.sampled_from(["random", "rising", "falling", "degenerate"]),
+    _ENTRY, _ENTRY, _ENTRY, _ENTRY,
+    st.integers(-6, 6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MATRIX, min_size=1, max_size=6))
+def test_closed_form_eigh_matches_lapack(stack):
+    """The 2x2 kernel: LAPACK's eigenvalues, eigenpairs to rounding, orthonormal
+    columns, and no floating-point warning, even at an exact degeneracy."""
+    H = np.array(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = eigh(H)
+    size = np.linalg.norm(H, axis=(-2, -1))
+    tol = 1e-12 * size[:, None]
+    assert np.all(np.abs(vals - np.linalg.eigvalsh(H)) <= tol)
+    residual = np.linalg.norm(H @ vecs - vecs * vals[:, None, :], axis=-2)
+    assert np.all(residual <= tol)
+    gram = vecs.conj().swapaxes(-1, -2) @ vecs
+    assert np.abs(gram - np.eye(2)).max() < 1e-12
+    assert np.array_equal(spectrum(H), vals)
+
+
+def test_eigh_shapes_and_larger_matrices(monkeypatch):
+    """A single matrix, a real stack and a complex stack keep the shapes and
+    dtypes of np.linalg.eigh; 3x3 goes to np.linalg.eigh itself, looked up at
+    call time."""
+    rng = np.random.default_rng(5)
+    vals, vecs = eigh(np.array([[2.0, 1.0], [1.0, -1.0]]))
+    assert vals.shape == (2,) and vecs.shape == (2, 2) and vecs.dtype == float
+    H = assemble(builtin_model("haldane"), None, rng.uniform(-4, 4, (3, 5, 2)))
+    vals, vecs = eigh(H)
+    assert vals.shape == (3, 5, 2) and vecs.shape == (3, 5, 2, 2) and vecs.dtype == complex
+    kagome = assemble(builtin_model("kagome"), None, rng.uniform(-4, 4, (4, 2)))
+    lapack, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: seen.append(M.shape) or lapack(M))
+    vals, _ = eigh(kagome)
+    assert seen == [(4, 3, 3)]
+    assert np.array_equal(vals, lapack(kagome)[0])
 
 
 def test_two_band_gap_closed_form():

@@ -172,6 +172,36 @@ def test_scan_refuses_fractional_resolution_and_nan_threshold():
             scan(m, [("m", -1.0, 1.0, 3)], degeneracy_threshold=threshold)
 
 
+@pytest.mark.parametrize(
+    "options", [{"grid": 2}, {"grid": 40.5}, {"kgrid": 0}, {"kgrid": 16.5}, {"band": 0.5}]
+)
+def test_scan_refuses_bad_grids_before_any_cell(options, monkeypatch):
+    """A bad grid, kgrid or band is one ModelError up front, not a scan of
+    error cells with a DEGENERATE label among them."""
+    ran = []
+    monkeypatch.setattr(phasediag, "chern_berry_lattice", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(phasediag, "minimum_gap", lambda *a, **k: ran.append(a))
+    with pytest.raises(ModelError, match="must be an integer|must be a positive integer"):
+        scan(builtin_model("bhz_square"), [("m", -1.0, 1.0, 3)], **options)
+    assert ran == []
+
+
+def test_minimum_gap_refuses_empty_kgrid():
+    with pytest.raises(ModelError, match="kgrid must be a positive integer"):
+        minimum_gap(builtin_model("bhz_square"), kgrid=0)
+
+
+def test_scan_computes_the_covering_radius_once(monkeypatch):
+    calls = []
+    radius = phasediag._covering_radius
+    monkeypatch.setattr(
+        phasediag, "_covering_radius", lambda *a: calls.append(a) or radius(*a)
+    )
+    pd = scan(builtin_model("haldane"), [("m", 0.0, 0.5, 3), ("phi", 1.0, 2.0, 2)])
+    assert all(c.certified for c in pd.cells)
+    assert len(calls) == 1
+
+
 def test_kagome_scan_flags_degeneracies():
     kg = builtin_model("kagome")
     pd = scan(kg, [("u1", -2.0, 2.0, 5)], grid=32, kgrid=24)
