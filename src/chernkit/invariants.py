@@ -27,6 +27,7 @@ import numpy as np
 from .models import (
     BlochModel,
     ModelError,
+    _hop_terms,
     _int_in,
     _rotated,
     _with_terms,
@@ -39,6 +40,9 @@ TWO_PI = 2.0 * math.pi
 
 #: the Berry engine refuses a band whose gap on the grid is at or below this
 GAP_FLOOR = 1e-8
+#: the ray engine refuses a pre-image with |h3| below this: it lies on the ray's
+#: critical set
+_H3_FLOOR = 1e-9
 
 
 class InvariantError(RuntimeError):
@@ -283,19 +287,23 @@ def _ray_perturbations():
         yield v / np.linalg.norm(v)
 
 
-def degree_ray(
-    model: BlochModel,
-    params: dict | None = None,
-    band: int = 0,
-    seed_density: int = 48,
-) -> ChernResult:
+def _ray_count(pts) -> int | None:
+    """The +z ray's degree from pre-Dirac points: sum of sgn det d(h1,h2)/dk over
+    those with h3 > 0, None where a point is degenerate or has |h3| below the floor."""
+    if any(p.degenerate or abs(p.h3) < _H3_FLOOR for p in pts):
+        return None
+    return sum(p.jac_sign for p in pts if p.h3 > 0)
+
+
+def degree_ray(model: BlochModel, params: dict | None = None, band: int = 0) -> ChernResult:
     """Mapping degree by counting signed ray pre-images.
 
     For the +z ray: deg = sum over pre-Dirac points with h3 > 0 of
     sgn det d(h1,h2)/dk.  The half-sum over *all* pre-Dirac points of
     sgn(J) sgn(h3) is computed as well and must agree.  A ray hitting a
     degenerate pre-image is retried along a deterministic perturbation spiral
-    about +z; ``diagnostics["ray"]`` is the ray that was used.
+    about +z; ``diagnostics["ray"]`` is the ray that was used, and ``grid`` the
+    degrees in z and w of the polynomials whose common roots were its pre-images.
     """
     if model.bands != 2:
         raise MethodInapplicableError("degree_ray requires a 2-band coefficient model")
@@ -305,7 +313,7 @@ def degree_ray(
     for probe in _ray_perturbations():
         R = _rotation_to_z(probe)
         work = model if np.allclose(R, np.eye(3)) else _rotated_model(model, R)
-        pts = pre_dirac_points(work, params, seed_density=seed_density)
+        pts = pre_dirac_points(work, params)
         if not pts:
             last_error = RaySelectionError("no pre-Dirac points found for this ray")
             continue
@@ -315,13 +323,13 @@ def degree_ray(
                 f"degenerate pre-Dirac point at k = {bad.k} (singular Jacobian)"
             )
             continue
-        if any(abs(p.h3) < 1e-9 for p in pts):
+        deg = _ray_count(pts)
+        if deg is None:
             last_error = DegenerateFamilyError(
                 "pre-Dirac point lies on the ray's critical set (h3 = 0)",
-                k=next(p.k for p in pts if abs(p.h3) < 1e-9),
+                k=next(p.k for p in pts if abs(p.h3) < _H3_FLOOR),
             )
             continue
-        deg = sum(p.jac_sign for p in pts if p.h3 > 0)
         half = 0.5 * sum(p.jac_sign * (1 if p.h3 > 0 else -1) for p in pts)
         if abs(half - deg) > 1e-9:
             last_error = RaySelectionError(
@@ -330,12 +338,13 @@ def degree_ray(
             )
             continue
         sign = -1 if band == 0 else 1
+        reach = _hop_terms(work.table._compiled(work.params_with_defaults(params)))[2]
         return ChernResult(
             value=sign * deg,
             method="degree_ray",
             raw=float(sign * deg),
             residual=0.0,
-            grid=(seed_density, seed_density),
+            grid=(2 * int(reach[0]), 2 * int(reach[1])),
             band=band,
             diagnostics={
                 "degree_raw": deg,
@@ -416,18 +425,23 @@ def cross_validate(
 ) -> dict:
     """Run all three engines and demand unanimous integer values.
 
-    Returns a report with per-engine results and timings; raises
-    :class:`CrossValidationError` (carrying every result) on disagreement.
+    ``grids`` may set the Berry and the quadrature grid, as ``"berry"`` and
+    ``"integral"``; the ray engine has none.  Returns a report with per-engine
+    results and timings; raises :class:`CrossValidationError` (carrying every
+    result) on disagreement.
     """
     if model.bands != 2:
         raise MethodInapplicableError("cross_validate requires a 2-band model")
     grids = grids or {}
+    unknown = set(grids) - {"berry", "integral"}
+    if unknown:
+        raise ModelError(f"grids takes only 'berry' and 'integral', got {sorted(unknown)}")
     results: dict[str, ChernResult] = {}
     timings: dict[str, float] = {}
     runs = [
         ("berry_lattice", lambda: chern_berry_lattice(model, params, band=band, grid=grids.get("berry", 60))),
         ("degree_integral", lambda: degree_integral(model, params, grid=grids.get("integral", 200), band=band)),
-        ("degree_ray", lambda: degree_ray(model, params, band=band, seed_density=grids.get("ray", 48))),
+        ("degree_ray", lambda: degree_ray(model, params, band=band)),
     ]
     for name, run in runs:
         t0 = time.perf_counter()

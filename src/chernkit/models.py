@@ -138,8 +138,8 @@ class BlochModel:
                 raise ModelError(f"unknown parameters for {self.name}: {sorted(unknown)}")
             p.update(params)
         for name, val in p.items():
-            if val is None or (isinstance(val, float) and math.isnan(val)):
-                raise ModelError(f"parameter {name} of {self.name} is missing or NaN")
+            if val is None or (isinstance(val, (float, np.floating)) and not math.isfinite(val)):
+                raise ModelError(f"parameter {name} of {self.name} is missing or not finite")
         return p
 
 
@@ -230,6 +230,9 @@ class _Compiled(NamedTuple):
 
     Rx: np.ndarray
     Ry: np.ndarray
+    #: the displacements in the lattice basis times q, integers, shape (T, 2)
+    n: np.ndarray
+    q: int
     #: the coefficients T_R, shape (T, n, n)
     T: np.ndarray
     #: [T_R; T_R^dagger] / 2 flattened, so that H(k) = [e^{ik.R}, e^{-ik.R}] @ pm
@@ -260,14 +263,17 @@ class HoppingTable:
         self._cached = functools.lru_cache(maxsize=4)(self._compile)
 
     def _compile(self, key: tuple) -> _Compiled:
-        d, T = _fold(*self.terms(dict(key)))
+        terms = self.terms(dict(key))
+        d, T = _fold(*terms)
+        q = _sites(T, terms[2:])[1]
         R = d @ self.zone.basis
         pm = np.concatenate([T, T.conj().swapaxes(-1, -2)]).reshape(2 * len(T), -1) / 2
         C = dC = None
         if T.shape[-1] == 2:
             C = np.einsum("cji,tij->tc", PAULI, T) / 2
             dC = (C[:, :3, None] * (1j * R[:, None, :])).reshape(len(R), 6)
-        return _Compiled(R[:, 0].copy(), R[:, 1].copy(), T, pm, C, dC)
+        n = np.rint(q * d).astype(int)
+        return _Compiled(R[:, 0].copy(), R[:, 1].copy(), n, q, T, pm, C, dC)
 
     def _compiled(self, p) -> _Compiled:
         return self._cached(tuple(p.items()))
@@ -324,7 +330,8 @@ class HoppingTable:
         64 angles: the largest eigenvalue of Herm(e^{i theta} T°) over those
         angles, divided by cos(pi/64).
         """
-        Rx, Ry, T, _, C, _ = self._compiled(p)
+        c = self._compiled(p)
+        Rx, Ry, T, C = c.Rx, c.Ry, c.T, c.C
         if C is not None:
             parts = np.stack([C[:, :3].real, C[:, :3].imag], axis=-1)
             w = np.linalg.svd(parts, compute_uv=False)[:, 0]
@@ -710,84 +717,150 @@ class PreDiracPoint:
     degenerate: bool
 
 
-def _merge_degenerate(frac, degenerate, residual, tol) -> np.ndarray:
-    """Indices of the zeros to keep, in their order.
+#: the Cayley map w = e^{i theta} (1 + ix) / (1 - ix) takes the real x line onto the
+#: unit circle less -e^{i theta}; any theta whose -e^{i theta} is no zero's w will do
+_CAYLEY_ANGLE = 2.399963229728653
+#: the polished copies of one zero of multiplicity m scatter by about u^(1/m), with
+#: u the unit roundoff: degenerate zeros within twice this count as one up to m = 5
+_MULTIPLE_RADIUS = 5e-4
 
-    Newton converges only linearly at a singular Jacobian, so the seeds of one
-    degenerate zero stop at scattered points that miss the seam-key grid.  Of
-    the degenerate zeros within ``tol`` of each other on the torus (in
-    fractional coordinates), the one of least residual stays.
+
+def _torus_distance(a, b) -> np.ndarray:
+    """Distance of fractional coordinates a and b, shape (..., 2), on the unit
+    torus: each coordinate difference is taken to its nearest integer."""
+    d = np.asarray(a, dtype=float) - b
+    d -= np.round(d)
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _hop_terms(c: _Compiled) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of h1 and h2, as their n and (c1, c2), and their reach: the
+    largest |n1| and |n2|, so that z^r1 w^r2 h_c has degrees 2 r in z and w."""
+    hop = (c.C[:, :2] != 0).any(axis=1)
+    return c.n[hop], c.C[hop, :2], np.abs(c.n[hop]).max(axis=0, initial=0)
+
+
+def _torus_roots(c: _Compiled) -> np.ndarray:
+    """Fractional coordinates (s, t), shape (M, 2), near every isolated common
+    zero of h1 and h2.
+
+    With z = e^{2 pi i s / q} and w = e^{2 pi i t / q}, P_c = z^r1 w^r2 h_c is a
+    polynomial, r the reach of the h1 and h2 terms.  Their Sylvester matrix in
+    z, M(w) = sum_k S_k w^k of size 4 r1, is singular where they share a root z.
+    The Cayley map turns (1 - ix)^(2 r2) M(w) into a matrix polynomial in x with
+    leading coefficient +-M(-e^{i theta}), invertible unless h1 and h2 share a
+    factor.  Its block companion has size 8 r1 r2, Bernstein's bound on the
+    number of common zeros, and its eigenvalues near the real line are the w of
+    the zeros on the torus.  The null space of M(w) is spanned by the vectors
+    (1, z, z^2, ...) of the common roots there, so their z are the eigenvalues
+    of the shift from each row of a null basis to the next.  The coordinate of
+    larger reach is the hidden w, which keeps M small.
     """
-    keep = ~degenerate
-    kept: list[int] = []
-    for i in np.flatnonzero(degenerate)[np.argsort(residual[degenerate], kind="stable")]:
-        d = frac[kept] - frac[i]
-        d -= np.round(d)
-        if not kept or np.hypot(d[:, 0], d[:, 1]).min() >= tol:
-            kept.append(i)
-    keep[kept] = True
-    return np.flatnonzero(keep)
+    n, C, reach = _hop_terms(c)
+    flip = reach[0] > reach[1]
+    n = n[:, ::-1] if flip else n
+    r1, r2 = sorted(reach)
+    if r1 == 0:  # (h1, h2) is constant along a zone direction: no isolated zero
+        return np.zeros((0, 2))
+    N, D = 4 * r1, 2 * r2
+    A = np.zeros((2, 2 * r1 + 1, D + 1), dtype=complex)
+    np.add.at(A, (slice(None), r1 + n[:, 0], r2 + n[:, 1]), C.T / 2)
+    np.add.at(A, (slice(None), r1 - n[:, 0], r2 - n[:, 1]), C.T.conj() / 2)
+    S = np.zeros((D + 1, N, N), dtype=complex)
+    for row in range(N):  # rows z^i P1, then z^i P2, over the columns z^0 .. z^(N-1)
+        i = row % (2 * r1)
+        S[:, row, i : i + 2 * r1 + 1] = A[row // (2 * r1)].T
+
+    # Q_j, the coefficient of x^j in (1 - ix)^D M(w(x)), which is
+    # sum_k S_k e^{ik theta} (1 + ix)^k (1 - ix)^(D - k)
+    B = [functools.reduce(np.convolve, [[1, 1j]] * k + [[1, -1j]] * (D - k), [1])
+         for k in range(D + 1)]
+    Q = np.einsum("kj,kab->jab", np.exp(1j * _CAYLEY_ANGLE * np.arange(D + 1))[:, None] * B, S)
+    sv = np.linalg.svd(Q[D], compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:  # det M(w) vanishes for every w
+        raise ModelError("h1 and h2 share a factor: their zeros need not be isolated points")
+    companion = np.eye(N * D, N * D, N, dtype=complex)
+    companion[-N:] = -np.linalg.solve(Q[D], np.concatenate(Q[:D], axis=1))
+    x = np.linalg.eigvals(companion)
+    # |w| = |1 + ix| / |1 - ix| is 1 - 2 Im x / (1 + |x|^2) to first order: keep the w
+    # within about 2e-3 of the unit circle, as a near-double root may leave it by ~1e-8
+    x = x[np.abs(x.imag) < 1e-3 * (1 + np.abs(x) ** 2)].real
+    phi = _CAYLEY_ANGLE + 2 * np.arctan(x)  # w = e^{i phi}
+    M = np.einsum("kab,mk->mab", S, np.exp(1j * phi[:, None] * np.arange(D + 1)))
+    _, sv, vh = np.linalg.svd(M)
+    # roots whose w agree to ~1e-6 share one null space and are found together
+    nullity = np.maximum((sv < 1e-6 * sv[:, :1]).sum(axis=1), 1)
+    roots = [np.zeros((0, 2))]
+    for m in np.unique(nullity):
+        V = vh[nullity == m, N - m :].conj().swapaxes(-1, -2)  # a basis of the null space
+        H = V[:, :-1].conj().swapaxes(-1, -2)
+        z = np.linalg.eigvals(np.linalg.solve(H @ V[:, :-1], H @ V[:, 1:])).ravel()
+        st = np.column_stack([np.angle(z), np.repeat(phi[nullity == m], m)])
+        roots.append(st[np.abs(np.abs(z) - 1) < 1e-3])
+    st = np.concatenate(roots) * c.q / (2 * math.pi)
+    return st[:, ::-1] if flip else st
 
 
-def pre_dirac_points(
-    model: BlochModel,
-    params: dict | None = None,
-    seed_density: int = 48,
-) -> list[PreDiracPoint]:
-    """All zeros of (h1, h2) on the zone, Newton-refined from a dense seed grid.
+def pre_dirac_points(model: BlochModel, params: dict | None = None) -> list[PreDiracPoint]:
+    """All isolated zeros of (h1, h2) on the zone: the common roots of two Laurent
+    polynomials on the unit torus (:func:`_torus_roots`), Newton-polished.
 
-    Newton runs on the best seeds at once: each step is one batched field and
-    Jacobian call on the seeds still iterating, with the 2x2 systems solved in
-    closed form; a seed leaves when it converges or its Jacobian is singular.
-    Each zero carries sgn det d(h1,h2)/d(kx,ky); zeros with a singular Jacobian
-    are reported with ``degenerate=True`` rather than dropped, and degenerate
-    zeros closer than half a seed spacing count as one.  The zeros come in the
-    order of their seam keys (fractional coordinates on a 1e-6 grid).
+    Newton runs on all roots at once, one batched field and Jacobian call per
+    step with the 2x2 systems solved in closed form, and each root keeps its
+    best iterate once a step no longer halves |(h1, h2)|; below 1e-10 it is a
+    zero.  Each zero carries sgn det d(h1,h2)/d(kx,ky), or ``degenerate=True``
+    where that det is below 1e-8 of the square of a bound on |h1| and |h2|.
+    Copies count once: a simple zero lies within its last Newton step of the
+    true one, and degenerate zeros within 2 ``_MULTIPLE_RADIUS`` of each other,
+    or of a simple one, are one.  A table whose h1 and h2 share a factor raises
+    :class:`ModelError`.  The zeros come in the order of their seam keys
+    (fractional coordinates on a 1e-6 grid).
     """
     if model.bands != 2:
         raise ModelError("pre_dirac_points requires a 2-band coefficient model")
-    seed_density = _whole(seed_density, "seed_density", positive=True)
     p = model.params_with_defaults(params)
     zone = model.zone
-    ss = (np.arange(seed_density) + 0.5) / seed_density
-    S, T = np.meshgrid(ss, ss, indexing="ij")
-    K = zone.kpoint(S.ravel(), T.ravel())
-    H = model.field(p, K[:, 0], K[:, 1])
-    res = np.hypot(H[:, 0], H[:, 1])
-    scale = max(res.max(), 1.0)
-    k = K[np.argsort(res)[: max(64, 8 * seed_density)]]
-
-    converged = np.zeros(len(k), dtype=bool)
+    compiled = model.table._compiled(p)
+    st = _torus_roots(compiled)
+    k = zone.kpoint(st[:, 0], st[:, 1])
+    polished, best, radius = k.copy(), np.full(len(k), np.inf), np.zeros(len(k))
     alive = np.arange(len(k))
     for _ in range(60):
         f = model.field(p, k[alive, 0], k[alive, 1])[:, :2]
-        done = np.hypot(f[:, 0], f[:, 1]) < 1e-10
-        converged[alive[done]] = True
-        a, b, c, d = model.jac12(p, k[alive, 0], k[alive, 1]).reshape(-1, 4).T
-        det = a * d - b * c
-        regular = det != 0  # where np.linalg.solve would raise: the seed is dropped
-        step = np.stack([d * f[:, 0] - b * f[:, 1], a * f[:, 1] - c * f[:, 0]], axis=-1)
-        step = step[regular] / det[regular, None]
-        norm = np.hypot(step[:, 0], step[:, 1])[:, None]
-        # a converged seed takes this step too: near a pair creation |f| < 1e-10 can
-        # leave two copies of one zero ~1e-8 apart, on either side of a seam key
-        k[alive[regular]] -= np.divide(2.0 * step, norm, out=step, where=norm > 2.0)
-        alive = alive[regular & ~done]
+        res = np.hypot(f[:, 0], f[:, 1])
+        better = res < 0.5 * best[alive]
+        alive, f = alive[better], f[better]
+        best[alive], polished[alive] = res[better], k[alive]
         if not alive.size:
             break
-    if not converged.any():
+        a, b, c, d = model.jac12(p, k[alive, 0], k[alive, 1]).reshape(-1, 4).T
+        det = a * d - b * c
+        regular = det != 0  # where np.linalg.solve would raise: the root stops here
+        step = np.stack([d * f[:, 0] - b * f[:, 1], a * f[:, 1] - c * f[:, 0]], axis=-1)
+        alive, step = alive[regular], step[regular] / det[regular, None]
+        radius[alive] = np.linalg.norm(zone.frac(step), axis=-1)
+        norm = np.hypot(step[:, 0], step[:, 1])[:, None]
+        k[alive] -= np.divide(2.0 * step, norm, out=step, where=norm > 2.0)
+    zero = best < 1e-10
+    if not zero.any():
         return []
 
-    frac = zone.frac(k[converged]) % 1.0
-    frac[frac > 1.0 - 1e-7] = 0.0  # canonical representative at the seam
-    keys = np.round(frac * 1e6).astype(int) % 1000000
-    _, first = np.unique(keys[:, 0] * 1000000 + keys[:, 1], return_index=True)
-    frac = frac[first]
+    frac = zone.frac(polished[zero]) % 1.0
+    frac[frac > 1.0 - 1e-12] = 0.0  # canonical representative at the seam
     kred = zone.kpoint(frac[:, 0], frac[:, 1])
     h = model.field(p, kred[:, 0], kred[:, 1])
     det = np.linalg.det(model.jac12(p, kred[:, 0], kred[:, 1]))
+    scale = max(np.abs(compiled.C[:, :2]).sum(axis=0).max(), 1.0)
     degenerate = np.abs(det) < 1e-8 * scale**2
-    keep = _merge_degenerate(frac, degenerate, np.hypot(h[:, 0], h[:, 1]), 0.5 / seed_density)
+    radius = np.where(degenerate, _MULTIPLE_RADIUS, radius[zero])[:, None]
+    # degenerate zeros first, then by residual: the first of each set of copies stays;
+    # 1e-12 absorbs the rounding of fractional coordinates
+    order = np.lexsort((np.hypot(h[:, 0], h[:, 1]), ~degenerate))
+    apart = _torus_distance(frac[order, None], frac[order])
+    same = apart <= radius[order] + radius[order].T + 1e-12
+    keep = order[~np.triu(same, 1).any(axis=0)]
+    keys = np.round(frac[keep] * 1e6).astype(int) % 1000000
+    keep = keep[np.lexsort((keys[:, 1], keys[:, 0]))]
     return [
         PreDiracPoint(
             k=kred[i],

@@ -25,6 +25,7 @@ from .invariants import (
     InvariantError,
     PlanarCurve,
     _berry_grid,
+    _ray_count,
     chern_berry_lattice,
     sphere_map_degree,
     winding_number,
@@ -33,6 +34,7 @@ from .models import (
     BlochModel,
     ModelError,
     _check_gap_band,
+    _torus_distance,
     _whole,
     assemble,
     gap,
@@ -256,8 +258,10 @@ _CURVE_TOL = 1e-10
 #: continuation steps, in (kx, ky, u) with u the bracket rescaled to [0, 1]
 _FIRST_STEP, _MAX_STEP, _MIN_STEP = 0.25, 0.5, 1e-9
 _MAX_STEPS = 4000
-#: half the default seed spacing of ``pre_dirac_points``, in fractional coordinates
-_SEAM_TOL = 0.5 / 48
+#: a curve's exit point, corrected to |(h1, h2)| < _CURVE_TOL, lies within
+#: _CURVE_TOL / sigma_min(J) of its end seed, which ``pre_dirac_points`` polished
+#: to rounding: within this, in fractional coordinates, for any sigma_min >= 1e-4
+_EXIT_TOL = 1e-6
 
 
 def _check_axis(model: BlochModel, axis: str) -> None:
@@ -268,13 +272,6 @@ def _check_axis(model: BlochModel, axis: str) -> None:
     default = model.defaults[axis]
     if isinstance(default, int) and not isinstance(default, bool):
         raise ModelError(f"{axis!r} is integer-valued and cannot vary along a bracket")
-
-
-def _ray_degree(pts) -> int | None:
-    """The ray engine's degree from pre-Dirac points, None where it is undefined."""
-    if any(q.degenerate or abs(q.h3) < 1e-9 for q in pts):
-        return None
-    return sum(q.jac_sign for q in pts if q.h3 > 0)
 
 
 def critical_points(
@@ -387,10 +384,9 @@ def critical_points(
                 return
         pts = ends[end]
         if pts:
-            d = model.zone.frac(np.array([q.k for q in pts])) - model.zone.frac(y[:2])
-            d = np.hypot(*(d - np.round(d)).T)
+            d = _torus_distance([q.frac for q in pts], model.zone.frac(y[:2]))
             i = int(np.argmin(d))
-            if d[i] < _SEAM_TOL:
+            if d[i] < _EXIT_TOL:
                 visited[end][i] = True
 
     def trace(y, direction):
@@ -438,7 +434,7 @@ def critical_points(
     found = _distinct(model.zone, zeros)
     out = [CriticalPoint(float(np.clip(lo + width * y[2], lo, hi)), y[:2], q) for y, q in found]
     out.sort(key=lambda c: c.param)
-    degrees = [_ray_degree(pts) for pts in ends]
+    degrees = [_ray_count(pts) for pts in ends]
     charges = [c.charge for c in out]
     if None not in degrees and None not in charges:
         if sum(charges) != degrees[1] - degrees[0]:
@@ -451,12 +447,17 @@ def critical_points(
 
 
 def _distinct(zone, zeros):
-    """The zeros with copies (the same closing reached from two curves) dropped."""
+    """The zeros with copies (the same closing reached from two curves) dropped.
+
+    ``polish`` runs Newton on h while it lowers |h|, so two copies of a closing
+    agree to rounding over the smallest singular value of its 3x3 Jacobian: to
+    1e-6 in fractional coordinates and 1e-7 in u wherever that is above ~1e-8.
+    """
     out = []
     for y, q in zeros:
         for z, _ in out:
-            d = zone.frac(y[:2]) - zone.frac(z[:2])
-            if abs(y[2] - z[2]) < 1e-7 and np.hypot(*(d - np.round(d))) < 1e-6:
+            apart = _torus_distance(zone.frac(y[:2]), zone.frac(z[:2]))
+            if abs(y[2] - z[2]) < 1e-7 and apart < 1e-6:
                 break
         else:
             out.append((y, q))

@@ -1,5 +1,6 @@
 """Tests for the three Chern engines and their cross-validation harness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from chernkit.invariants import (
     winding_number,
 )
 from chernkit.models import ModelError, builtin_model, catalog, gap, pre_dirac_points, scale_model
+from chernkit.phasediag import scan
 
 SQRT3 = math.sqrt(3.0)
 
@@ -74,7 +76,7 @@ def test_haldane3nn_value():
 def test_haldane_n_family_equals_N(N):
     hn = builtin_model("haldane_n")
     assert chern_berry_lattice(hn, {"N": N}, grid=40 * abs(N)).value == N
-    assert degree_ray(hn, {"N": N}, seed_density=24 * abs(N)).value == N
+    assert degree_ray(hn, {"N": N}).value == N
 
 
 def test_bhz_value():
@@ -254,16 +256,21 @@ def test_ray_perturbation_resolves_degenerate_preimages():
 
 
 def test_ray_degree_near_a_pair_creation():
-    """haldane3nn just past its pair creation at t3 = 1/3: Newton left two copies
-    of one zero of a nearly singular Jacobian ~1e-8 apart, on either side of a
-    seam key, and the ray engine alone counted -4 where Berry gives -2."""
+    """haldane3nn just past its pair creation at t3 = 1/3 + eps, where a pair of
+    zeros ~sqrt(eps) apart with nearly singular Jacobians sits at each M point: a
+    seeded Newton left copies of them, and the ray engine alone counted -4 where
+    Berry gives -2.  The ray engine gives -2 or refuses, and the zeros number 8."""
     model = builtin_model("haldane3nn")
-    p = {"t3": 1 / 3 + 1e-8}
-    assert chern_berry_lattice(model, p, grid=240).value == -2
-    try:
-        assert degree_ray(model, p).value == -2
-    except InvariantError:
-        pass
+    assert chern_berry_lattice(model, {"t3": 1 / 3 + 1e-8}, grid=240).value == -2
+    for eps in (1e-6, 1e-8, 1e-10, 1e-12):
+        p = {"t3": 1 / 3 + eps}
+        assert len(pre_dirac_points(model, p)) == 8, eps
+        try:
+            r = degree_ray(model, p)
+        except InvariantError:
+            continue
+        assert r.value == -2, eps
+        assert len(r.diagnostics["pre_dirac"]) == 8, eps
 
 
 def test_ray_diagnostics_contributions():
@@ -291,23 +298,6 @@ def test_degree_integral_rejects_three_band():
         degree_integral(builtin_model("kagome"))
     with pytest.raises(MethodInapplicableError):
         degree_ray(builtin_model("kagome"))
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda m: pre_dirac_points(m, seed_density=0),
-        lambda m: degree_ray(m, seed_density=0),
-        lambda m: cross_validate(m, grids={"ray": 0}),
-        lambda m: pre_dirac_points(m, seed_density=-1),
-        lambda m: pre_dirac_points(m, seed_density=2.5),
-        lambda m: pre_dirac_points(m, seed_density=True),
-    ],
-    ids=["pre_dirac_points", "degree_ray", "cross_validate", "negative", "fraction", "bool"],
-)
-def test_seed_density_must_be_a_positive_integer(run):
-    with pytest.raises(ModelError, match="seed_density must be a positive integer"):
-        run(builtin_model("bhz_square"))
 
 
 @pytest.mark.parametrize(
@@ -344,12 +334,40 @@ def test_engines_accept_integral_floats():
     assert degree_integral(haldane, grid=np.int64(100)).grid == (100, 100)
 
 
-@pytest.mark.parametrize("params", [{"bogus": 1.0}, {"m": float("nan")}])
+@pytest.mark.parametrize(
+    "params", [{"bogus": 1.0}, {"m": float("nan")}, {"m": float("inf")}, {"t1": -float("inf")}]
+)
 def test_bad_params_raise_model_error_in_every_engine(params):
     bhz = builtin_model("bhz_square")
     for engine in (chern_berry_lattice, degree_integral, degree_ray):
         with pytest.raises(ModelError):
             engine(bhz, params)
+
+
+def test_non_finite_params_are_refused_before_any_numerics():
+    """An infinite parameter used to reach the Berry grid as NaN and fail there
+    with a bare ValueError; every engine, and a scan cell, refuse it by name."""
+    haldane = builtin_model("haldane")
+    for run in (
+        lambda: chern_berry_lattice(haldane, {"m": float("inf")}, grid=8),
+        lambda: degree_integral(haldane, {"m": float("inf")}),
+        lambda: degree_ray(haldane, {"t2": float("-inf")}),
+        lambda: pre_dirac_points(haldane, {"t1": float("inf")}),
+    ):
+        with pytest.raises(ModelError, match="not finite"):
+            run()
+    infinite = dataclasses.replace(haldane, defaults={**haldane.defaults, "t2": math.inf})
+    cells = scan(infinite, [("m", -1.0, 1.0, 2)]).cells
+    for c in cells:
+        assert c.chern is None and "t2 of haldane is missing or not finite" in c.error
+
+
+@pytest.mark.parametrize("grids", [{"bogus": 3}, {"ray": 96}, {"berry": 40, "Integral": 100}])
+def test_cross_validate_refuses_unknown_grids(grids):
+    """Only the Berry and the quadrature engine have a grid; any other key is refused
+    rather than ignored."""
+    with pytest.raises(ModelError, match="grids takes only"):
+        cross_validate(builtin_model("bhz_square"), grids=grids)
 
 
 def test_resolution_error_on_underresolved_quadrature():

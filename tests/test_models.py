@@ -533,7 +533,7 @@ def test_haldane_pre_dirac_points_are_K_and_Kprime():
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_haldane_n_pre_dirac_count(N):
     hn = builtin_model("haldane_n")
-    pts = pre_dirac_points(hn, {"N": N}, seed_density=24 * N)
+    pts = pre_dirac_points(hn, {"N": N})
     assert len(pts) == 2 * N * N
     assert all(not p.degenerate for p in pts)
 
@@ -641,7 +641,7 @@ def test_rotated_tables_are_first_class(name):
         assert np.allclose(eval_field(scaled, p, k), eval_field(rot, p, 3 * k), atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_pre_dirac_degenerate_zeros_are_merged(d):
     """square_power has four zeros of (h1, h2) at frac (1/4 or 3/4, 1/4 or 3/4),
     of multiplicity d; Newton reaches them only linearly, and each counts once."""
@@ -656,6 +656,61 @@ def test_pre_dirac_degenerate_zeros_are_merged(d):
 def test_pre_dirac_requires_two_band_field():
     with pytest.raises(ModelError):
         pre_dirac_points(builtin_model("kagome"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(TWO_BAND),
+    st.lists(st.floats(0.8, 1.2), min_size=6, max_size=6),
+    st.sampled_from([None, 1, 4]),
+)
+def test_pre_dirac_zeros_are_zeros_and_cancel(name, jitter, probe):
+    """At +-20% jittered float params, on and off the +z ray: every returned zero
+    has |(h1, h2)| < 1e-10, and where none is degenerate their signs cancel, as
+    the degree of (h1, h2) / |(h1, h2)| on the torus, a map to the circle, is 0."""
+    model = _on_probe(builtin_model(name), probe)
+    p = model.params_with_defaults(None)
+    p = {
+        key: val * x if isinstance(val, float) else val
+        for (key, val), x in zip(p.items(), jitter)
+    }
+    pts = pre_dirac_points(model, p)
+    for q in pts:
+        h = model.field(p, q.k[0], q.k[1])
+        assert math.hypot(h[0], h[1]) < 1e-10, (name, p, probe)
+    if not any(q.degenerate for q in pts):
+        assert sum(q.jac_sign for q in pts) == 0, (name, p, probe)
+
+
+def test_pre_dirac_points_of_a_sited_table():
+    """bhz_square with its second orbital at (a1 + a2) / 2: the hops take the phase
+    of the half-cell displacement, which moves no zero of (h1, h2), so the zeros,
+    signs and h3 are bhz_square's although the Laurent exponents are over q = 2."""
+
+    def terms(p):
+        n, T = models._bhz(p)
+        return n, T, ([[0, 0], [1, 1]], 2)
+
+    table = HoppingTable(terms, models.SQUARE_ZONE)
+    sited = BlochModel("sited", 2, "square", {"t1": 1.0, "m": 0.5}, table)
+    got, want = pre_dirac_points(sited), pre_dirac_points(builtin_model("bhz_square"), {"m": 0.5})
+    assert [q.frac for q in got] == [q.frac for q in want]
+    assert [(q.jac_sign, q.degenerate) for q in got] == [(q.jac_sign, q.degenerate) for q in want]
+    assert np.allclose([q.h3 for q in got], [q.h3 for q in want], atol=1e-12)
+
+
+def test_pre_dirac_refuses_a_shared_factor():
+    """h = sin kx (cos ky, sin ky, 0) + (0, 0, 1): h1 and h2 share the factor
+    sin kx and vanish on the lines kx = 0 and pi, so no finite list holds the zeros."""
+
+    def terms(p):
+        return [[0, 0], [1, 1], [1, -1]], models._pauli(
+            [[0, 0, 1, 0], [-0.5j, -0.5, 0, 0], [-0.5j, 0.5, 0, 0]]
+        )
+
+    model = BlochModel("shared", 2, "square", {}, HoppingTable(terms, models.SQUARE_ZONE))
+    with pytest.raises(ModelError, match="share a factor"):
+        pre_dirac_points(model)
 
 
 # ---------------------------------------------------------------------------
