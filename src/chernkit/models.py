@@ -206,16 +206,9 @@ def _check_gap_band(model: BlochModel, band: int) -> int:
 
 
 def gap(model: BlochModel, params: dict | None, k, band: int = 0) -> float:
-    """Gap above the given band at k.
-
-    A 2-band model's gap is 2 |h|, the 2r of :func:`eigh`'s closed form read
-    from the field without assembling H; larger models take it from
-    :func:`spectrum`, that is from ``np.linalg.eigvalsh``.
-    """
+    """Gap above the given band at k, from :func:`spectrum`: a 2-band model's
+    is 2 |h|, the 2r of :func:`eigh`'s closed form."""
     band = _check_gap_band(model, band)
-    if model.bands == 2:
-        h = eval_field(model, params, k)
-        return float(2.0 * np.linalg.norm(h, axis=-1))
     ev = spectrum(assemble(model, params, k))
     return float(ev[..., band + 1] - ev[..., band])
 
@@ -223,6 +216,11 @@ def gap(model: BlochModel, params: dict | None, k, band: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # hopping tables
 # ---------------------------------------------------------------------------
+
+#: params whose hopping terms' entries sum to more than this in absolute value
+#: are refused: that sum bounds |H(k)|, and below it |H|^2 and products of three
+#: entries of H or dH/dk stay finite in every engine
+NORM_LIMIT = 1e100
 
 
 class _Compiled(NamedTuple):
@@ -264,6 +262,14 @@ class HoppingTable:
 
     def _compile(self, key: tuple) -> _Compiled:
         terms = self.terms(dict(key))
+        # |H(k)| <= sum |T_n| <= the sum of |Re| and |Im| over all entries, taken
+        # after the division so that it cannot overflow (NaN fails the test too)
+        parts = np.ascontiguousarray(terms[1], dtype=complex).view(float)
+        if not np.abs(parts / NORM_LIMIT).sum() <= 1.0:
+            raise ModelError(
+                f"the hopping terms sum to more than {NORM_LIMIT:.0e} in absolute value, "
+                "past which the engines' squares and products of H overflow"
+            )
         d, T = _fold(*terms)
         q = _sites(T, terms[2:])[1]
         R = d @ self.zone.basis
@@ -537,7 +543,7 @@ def _hopping(terms: Callable) -> Callable:
 
     def scaled(p):
         n, T = terms(p)
-        hops = (T * (1 - np.eye(T.shape[-1]))).any(axis=(1, 2))
+        hops = ((T != 0) & ~np.eye(T.shape[-1], dtype=bool)).any(axis=(1, 2))
         return np.where(hops[:, None], _integer(p, "N") * np.asarray(n), n), T
 
     return scaled

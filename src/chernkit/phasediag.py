@@ -37,7 +37,6 @@ from .models import (
     _torus_distance,
     _whole,
     assemble,
-    gap,
     pre_dirac_points,
     spectrum,
 )
@@ -55,6 +54,27 @@ DEGENERACY_THRESHOLD = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def _descend(f, x, fx, h):
+    """Pattern search (Hooke and Jeeves) from x, where f(x) = fx, at step h.
+
+    ``f`` maps an (m, d) array of points to m values.  Move to the least of the
+    3^d - 1 neighbours x + h e, e in {-1, 0, 1}^d, while it is strictly lower,
+    else halve h; stop once h is below 1e-10.  Returns the point and its value.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = np.indices((3,) * x.size).reshape(x.size, -1).T - 1.0
+    steps = steps[steps.any(axis=1)]
+    while h >= 1e-10:
+        pts = x + h * steps
+        vals = f(pts)
+        i = np.argmin(vals)
+        if vals[i] < fx:
+            x, fx = pts[i], vals[i]
+        else:
+            h /= 2
+    return x, fx
+
+
 def minimum_gap(
     model: BlochModel,
     params: dict | None = None,
@@ -63,30 +83,24 @@ def minimum_gap(
 ) -> tuple[float, np.ndarray]:
     """Refined minimum gap above ``band`` over the zone and its location.
 
-    A coarse grid locates the candidate minimum; Nelder-Mead descent in
-    fractional momentum coordinates refines it.
+    A coarse kgrid x kgrid grid locates the candidate minimum; a pattern
+    search in fractional momentum coordinates (:func:`_descend`, starting at
+    the grid spacing) refines it, and never returns more than the grid minimum.
     """
-    from scipy import optimize  # imported on first use; it is slow to import
-
     band = _check_gap_band(model, band)
     kgrid = _whole(kgrid, "kgrid", positive=True)
     p = model.params_with_defaults(params)
+
+    def gaps(x):
+        vals = spectrum(assemble(model, p, model.zone.kpoint(x[..., 0], x[..., 1])))
+        return vals[..., band + 1] - vals[..., band]
+
     frac = np.arange(kgrid) / kgrid
-    S, T = np.meshgrid(frac, frac, indexing="ij")
-    K = model.zone.kpoint(S, T)
-    vals = spectrum(assemble(model, p, K))
-    gaps = vals[..., band + 1] - vals[..., band]
-    idx = np.unravel_index(np.argmin(gaps), gaps.shape)
-    x0 = np.array([S[idx], T[idx]])
-    res = optimize.minimize(
-        lambda x: gap(model, p, model.zone.kpoint(x[0], x[1]), band),
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12},
-    )
-    best = min(float(gaps[idx]), float(res.fun))
-    loc = model.zone.kpoint(res.x[0] % 1.0, res.x[1] % 1.0)
-    return best, loc
+    grid = np.stack(np.meshgrid(frac, frac, indexing="ij"), axis=-1).reshape(-1, 2)
+    coarse = gaps(grid)
+    i = np.argmin(coarse)
+    x, best = _descend(gaps, grid[i], coarse[i], 1.0 / kgrid)
+    return float(best), model.zone.kpoint(*(x % 1.0))
 
 
 def _covering_radius(zone, grid: int) -> float:
@@ -476,9 +490,10 @@ def locate_transition(
 
     Two-band models return the smallest parameter value of
     :func:`critical_points`, the zeros of h(k, lambda), to about 1e-12 and
-    raise :class:`ModelError` when there is none.  Multi-band models use
-    bounded minimization of the refined minimum gap, to 1e-9, and raise
-    :class:`ModelError` when the gap does not drop below
+    raise :class:`ModelError` when there is none.  Multi-band models sample
+    the refined minimum gap at 9 values of the parameter and refine the least
+    by a pattern search (:func:`_descend`) clipped to the bracket, to 1e-9, and
+    raise :class:`ModelError` when the gap does not drop below
     ``DEGENERACY_THRESHOLD`` on the bracket.
     """
     band = _check_gap_band(model, band)
@@ -491,18 +506,19 @@ def locate_transition(
             raise ModelError(f"the gap does not close on [{lo}, {hi}]")
         return zeros[0].param
 
-    from scipy import optimize  # imported on first use; it is slow to import
+    lo, hi = sorted((float(lo), float(hi)))
 
-    def gap_of(x):
-        return minimum_gap(model, {**base, axis: float(x)}, band=band)[0]
+    def gaps(x):
+        lam = np.clip(x[:, 0], lo, hi)
+        return np.array([minimum_gap(model, {**base, axis: float(v)}, band=band)[0] for v in lam])
 
-    res = optimize.minimize_scalar(
-        gap_of, bounds=(float(lo), float(hi)), method="bounded",
-        options={"xatol": 1e-9},
-    )
-    if res.fun >= DEGENERACY_THRESHOLD:
-        raise ModelError(f"the gap does not close on [{lo}, {hi}] (least gap {res.fun:.3e})")
-    return float(res.x)
+    lam = np.linspace(lo, hi, 9)[:, None]
+    coarse = gaps(lam)
+    i = np.argmin(coarse)
+    x, least = _descend(gaps, lam[i], coarse[i], (hi - lo) / 8)
+    if least >= DEGENERACY_THRESHOLD:
+        raise ModelError(f"the gap does not close on [{lo}, {hi}] (least gap {least:.3e})")
+    return float(np.clip(x[0], lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from chernkit.invariants import (
     winding_number,
 )
 from chernkit.models import ModelError, builtin_model, catalog, gap, pre_dirac_points, scale_model
-from chernkit.phasediag import scan
+from chernkit.phasediag import minimum_gap, scan
 
 SQRT3 = math.sqrt(3.0)
 
@@ -360,6 +360,34 @@ def test_non_finite_params_are_refused_before_any_numerics():
     cells = scan(infinite, [("m", -1.0, 1.0, 2)]).cells
     for c in cells:
         assert c.chern is None and "t2 of haldane is missing or not finite" in c.error
+
+
+@pytest.mark.parametrize("m", [1e200, 1e300, 1e308])
+def test_huge_finite_params_are_refused_without_overflow(m):
+    """A finite parameter this large used to overflow |h|^2 or the closed-form
+    eigensystem, or to reach the terms rules as inf (a RuntimeWarning, an error
+    under this suite); the table refuses it instead."""
+    haldane, kagome = builtin_model("haldane"), builtin_model("kagome")
+    for run in (
+        lambda: chern_berry_lattice(haldane, {"m": m}, grid=8),
+        lambda: degree_integral(haldane, {"m": m}),
+        lambda: degree_ray(haldane, {"m": m}),
+        lambda: minimum_gap(haldane, {"m": m}),
+        lambda: gap(haldane, {"m": m}, [0.1, 0.2]),
+        lambda: chern_berry_lattice(kagome, {"u1": m}, grid=8),
+        lambda: minimum_gap(builtin_model("haldane_n"), {"t1": m}),
+    ):
+        with pytest.raises(ModelError, match="hopping terms sum to more than"):
+            run()
+
+
+def test_params_below_the_norm_limit_still_answer():
+    haldane = builtin_model("haldane")
+    scaled = {"t1": 1e98, "t2": 0.5e98, "m": 1e98}
+    assert chern_berry_lattice(haldane, scaled, grid=40).value == 1
+    assert degree_integral(haldane, scaled).value == 1
+    g, _ = minimum_gap(haldane, {"m": 1e98})
+    assert g == pytest.approx(2e98, rel=1e-12)
 
 
 @pytest.mark.parametrize("grids", [{"bogus": 3}, {"ray": 96}, {"berry": 40, "Integral": 100}])
